@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build test vet fmt fmt-check lint vulncheck fuzz-smoke race cover verify bench bench-guarded experiments docs-check clean
+.PHONY: build test vet fmt fmt-check lint vulncheck fuzz-smoke race cover verify bench bench-guarded chainbench-smoke experiments docs-check clean
 
 build:
 	$(GO) build ./...
@@ -85,6 +85,13 @@ bench-guarded:
 	$(GO) test -run '^$$' -bench 'BenchmarkPump$$|BenchmarkPumpChecksum$$|BenchmarkFairShare$$' -benchtime 100x -count $(BENCH_COUNT) ./internal/depot/ | tee -a $(BENCH_OUT)
 	$(GO) test -run '^$$' -bench 'BenchmarkEmit$$' -count $(BENCH_COUNT) ./internal/obs/ | tee -a $(BENCH_OUT)
 	$(GO) test -run '^$$' -bench 'BenchmarkStriping$$|BenchmarkMultipath$$' -benchtime 1x -count $(BENCH_COUNT) . | tee -a $(BENCH_OUT)
+
+# The depot-chain benchmark is its own module (chainbench/go.mod), so
+# `go test ./...` at the root skips it. Its smoke test runs every
+# workload at toy sizes, core-modes included: a change to core's
+# transfer engine that breaks any mode fails here.
+chainbench-smoke:
+	cd chainbench && $(GO) test ./...
 
 # Regenerate the canonical experiment log that EXPERIMENTS.md quotes
 # (seed 1, paper iteration counts). Rerun after changing anything under

@@ -375,25 +375,6 @@ func parseSize(s string) (int64, error) {
 	return n * mult, nil
 }
 
-// sendPattern streams the session's deterministic pattern through w.
-func sendPattern(w io.Writer, id wire.SessionID, size int64) (int64, error) {
-	buf := make([]byte, 64<<10)
-	var written int64
-	for written < size {
-		n := int64(len(buf))
-		if remaining := size - written; remaining < n {
-			n = remaining
-		}
-		depot.FillPattern(buf[:n], id, written)
-		m, werr := w.Write(buf[:n])
-		written += int64(m)
-		if werr != nil {
-			return written, werr
-		}
-	}
-	return written, nil
-}
-
 func runSend() error {
 	if *to == "" {
 		fmt.Fprintln(os.Stderr, "lsl-xfer: -to is required")
@@ -486,7 +467,7 @@ func runSend() error {
 		sampler := newSampler("store " + sess.ID().String())
 		w := sendWriter(sess, sampler)
 		emit0(tr, sess.ID(), obs.KindFirstByte, obs.Event{})
-		written, werr := sendPattern(w, sess.ID(), size)
+		written, werr := depot.WritePattern(w, sess.ID(), 0, size)
 		if werr != nil {
 			return fmt.Errorf("store after %d bytes: %w", written, werr)
 		}
@@ -556,7 +537,7 @@ func runSend() error {
 			sampler := newSampler("send " + sess.ID().String())
 			w := sendWriter(sess, sampler)
 			emit0(tr, sess.ID(), obs.KindFirstByte, obs.Event{})
-			written, werr := sendPattern(w, sess.ID(), size)
+			written, werr := depot.WritePattern(w, sess.ID(), 0, size)
 			if werr != nil {
 				sess.Close()
 				return fmt.Errorf("send after %d bytes: %w", written, werr)
@@ -593,17 +574,6 @@ func cachedSessionID() (wire.SessionID, error) {
 	return id, nil
 }
 
-// cachedSuffixStart returns the first byte of the longest contiguous
-// cached suffix that runs to exactly size, or size when the advertised
-// ranges hold no such suffix. Only a suffix is spliceable: the origin
-// sends [0, start) and the holder serves [start, size) after it.
-func cachedSuffixStart(ranges []wire.ByteRange, size int64) int64 {
-	if n := len(ranges); n > 0 && ranges[n-1].End() == size {
-		return ranges[n-1].Off
-	}
-	return size
-}
-
 // runCachedSend is the origin-offload path: probe the route's depots
 // for the object's digest, send only the cold prefix from here, and
 // direct the best holder (longest cached suffix; ties to the depot
@@ -623,7 +593,7 @@ func runCachedSend(dial lsl.Dialer, srcEP, dst wire.Endpoint, route []wire.Endpo
 		if perr != nil {
 			continue // no cache there, or unreachable: probe is best-effort
 		}
-		if c := cachedSuffixStart(ranges, size); c < size && c <= coldEnd {
+		if c := wire.SuffixStart(ranges, size); c < size && c <= coldEnd {
 			holder, coldEnd = i, c
 		}
 	}
@@ -648,7 +618,7 @@ func runCachedSend(dial lsl.Dialer, srcEP, dst wire.Endpoint, route []wire.Endpo
 			return oerr
 		}
 		emit0(tr, id, obs.KindConnect, obs.Event{Peer: route[0].String()})
-		written, werr := sendPatternRange(sendWriter(sess, nil), id, 0, coldEnd)
+		written, werr := depot.WritePattern(sendWriter(sess, nil), id, 0, coldEnd)
 		sess.Close()
 		originBytes += written
 		if werr != nil {
@@ -681,7 +651,7 @@ func runCachedSend(dial lsl.Dialer, srcEP, dst wire.Endpoint, route []wire.Endpo
 			return oerr
 		}
 		emit0(tr, id, obs.KindConnect, obs.Event{Peer: route[0].String(), Retries: 1})
-		written, werr := sendPatternRange(sendWriter(sess, nil), id, originBytes, size)
+		written, werr := depot.WritePattern(sendWriter(sess, nil), id, originBytes, size)
 		sess.Close()
 		originBytes += written
 		if werr != nil {
@@ -722,7 +692,7 @@ func runTableDrivenSend(dial lsl.Dialer, srcEP, dst, entry wire.Endpoint, size i
 	sampler := newSampler("send " + sess.ID().String())
 	w := sendWriter(sess, sampler)
 	emit0(tr, sess.ID(), obs.KindFirstByte, obs.Event{})
-	written, werr := sendPattern(w, sess.ID(), size)
+	written, werr := depot.WritePattern(w, sess.ID(), 0, size)
 	if werr != nil {
 		sess.Close()
 		return fmt.Errorf("table-driven send after %d bytes: %w", written, werr)
@@ -744,10 +714,8 @@ func runTableDrivenSend(dial lsl.Dialer, srcEP, dst, entry wire.Endpoint, size i
 // -retries applies independently per stripe: a failed stripe restarts
 // from its own range start while its siblings stream on.
 func runStripedSend(dial lsl.Dialer, srcEP, dst wire.Endpoint, route []wire.Endpoint, firstHop wire.Endpoint, size int64, tr obs.Sink) error {
-	n := *stripesN
-	if int64(n) > size {
-		n = int(size)
-	}
+	ranges := lsl.SplitRanges(size, *stripesN, false)
+	n := len(ranges)
 	id, err := wire.NewSessionID()
 	if err != nil {
 		return err
@@ -755,13 +723,7 @@ func runStripedSend(dial lsl.Dialer, srcEP, dst wire.Endpoint, route []wire.Endp
 	start := time.Now()
 	var wg sync.WaitGroup
 	errs := make([]error, n)
-	base, rem := size/int64(n), size%int64(n)
-	var from int64
-	for k := 0; k < n; k++ {
-		length := base
-		if int64(k) < rem {
-			length++
-		}
+	for k, r := range ranges {
 		wg.Add(1)
 		go func(k int, from, end int64) {
 			defer wg.Done()
@@ -775,7 +737,7 @@ func runStripedSend(dial lsl.Dialer, srcEP, dst wire.Endpoint, route []wire.Endp
 					return oerr
 				}
 				emit0(tr, id, obs.KindConnect, obs.Event{Peer: firstHop.String(), Stripe: obs.StripeOf(k), Retries: attempt})
-				written, werr := sendPatternRange(sendWriter(sess, nil), id, from, end)
+				written, werr := depot.WritePattern(sendWriter(sess, nil), id, from, end)
 				sess.Close()
 				if werr != nil {
 					return fmt.Errorf("stripe %d after %d bytes: %w", k, written, werr)
@@ -783,8 +745,7 @@ func runStripedSend(dial lsl.Dialer, srcEP, dst wire.Endpoint, route []wire.Endp
 				emit0(tr, id, obs.KindLastByte, obs.Event{Bytes: written, Stripe: obs.StripeOf(k)})
 				return nil
 			})
-		}(k, from, from+length)
-		from += length
+		}(k, r.Off, r.End())
 	}
 	wg.Wait()
 	for _, werr := range errs {
@@ -851,41 +812,6 @@ func parseMultipathRoutes(via string) ([][]wire.Endpoint, error) {
 	return routes, nil
 }
 
-// multipathRange is one contiguous chunk of a -multipath send's shared
-// work list.
-type multipathRange struct{ from, end int64 }
-
-// multipathSendRanges splits size bytes into the chunk ranges the
-// route workers pull: several per route so the load can rebalance, but
-// never below 64 KiB per range (tinier ranges spend more time in
-// session setup than in transfer) and never fewer ranges than routes
-// unless the object itself is smaller.
-func multipathSendRanges(size int64, k int) []multipathRange {
-	const perRoute, minRange = 4, int64(64 << 10)
-	n := k * perRoute
-	if int64(n)*minRange > size {
-		n = int(size / minRange)
-	}
-	if n < k {
-		n = k
-	}
-	if int64(n) > size {
-		n = int(size)
-	}
-	ranges := make([]multipathRange, 0, n)
-	base, rem := size/int64(n), size%int64(n)
-	var from int64
-	for i := 0; i < n; i++ {
-		length := base
-		if int64(i) < rem {
-			length++
-		}
-		ranges = append(ranges, multipathRange{from: from, end: from + length})
-		from += length
-	}
-	return ranges
-}
-
 // runMultipathSend fans the object across the parsed disjoint depot
 // routes. Every route session shares one session id and a path-set
 // identifier; each route worker pulls the next chunk range off the
@@ -903,7 +829,7 @@ func runMultipathSend(dial lsl.Dialer, srcEP, dst wire.Endpoint, routes [][]wire
 	if err != nil {
 		return err
 	}
-	ranges := multipathSendRanges(size, k)
+	ranges := lsl.SplitRanges(size, k, true)
 	start := time.Now()
 	var mu sync.Mutex
 	next := 0
@@ -939,12 +865,12 @@ func runMultipathSend(dial lsl.Dialer, srcEP, dst wire.Endpoint, routes [][]wire
 					if attempt > 0 {
 						log.Printf("path %d: range %d retry %d of %d", w, i, attempt, *retries)
 					}
-					sess, oerr := lsl.OpenPath(dial, srcEP, dst, routes[w], id, set, w, k, r.from, sessionOpts()...)
+					sess, oerr := lsl.OpenPath(dial, srcEP, dst, routes[w], id, set, w, k, r.Off, sessionOpts()...)
 					if oerr != nil {
 						return oerr
 					}
 					emit0(tr, id, obs.KindConnect, obs.Event{Peer: firstHop.String(), Path: obs.PathOf(w), Retries: attempt})
-					written, werr := sendPatternRange(sendWriter(sess, nil), id, r.from, r.end)
+					written, werr := depot.WritePattern(sendWriter(sess, nil), id, r.Off, r.End())
 					sess.Close()
 					if werr != nil {
 						return fmt.Errorf("path %d range %d after %d bytes: %w", w, i, written, werr)
@@ -974,26 +900,6 @@ func runMultipathSend(dial lsl.Dialer, srcEP, dst wire.Endpoint, routes [][]wire
 		id, size, k, elapsed.Round(time.Millisecond),
 		float64(size)*8/1e6/elapsed.Seconds(), strings.Join(shares, ", "))
 	return nil
-}
-
-// sendPatternRange streams the deterministic pattern for absolute
-// object offsets [from, end) — one stripe's share.
-func sendPatternRange(w io.Writer, id wire.SessionID, from, end int64) (int64, error) {
-	buf := make([]byte, 64<<10)
-	written := from
-	for written < end {
-		n := int64(len(buf))
-		if remaining := end - written; remaining < n {
-			n = remaining
-		}
-		depot.FillPattern(buf[:n], id, written)
-		m, werr := w.Write(buf[:n])
-		written += int64(m)
-		if werr != nil {
-			return written - from, werr
-		}
-	}
-	return written - from, nil
 }
 
 func runSink() error {

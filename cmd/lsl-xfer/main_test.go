@@ -3,6 +3,8 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"github.com/netlogistics/lsl/internal/lsl"
 )
 
 func TestParseSize(t *testing.T) {
@@ -97,9 +99,9 @@ func TestParseMultipathRoutes(t *testing.T) {
 	}
 }
 
-// TestMultipathSendRanges checks the shared work list: contiguous
-// cover of the object, several ranges per route for rebalancing, and
-// the 64 KiB floor.
+// TestMultipathSendRanges pins how -multipath cuts an object across k
+// routes: several ranges per route, never fewer than k nor more than
+// the object has bytes.
 func TestMultipathSendRanges(t *testing.T) {
 	cases := []struct {
 		size int64
@@ -112,17 +114,17 @@ func TestMultipathSendRanges(t *testing.T) {
 		{size: 2, k: 3, want: 2},
 	}
 	for _, c := range cases {
-		ranges := multipathSendRanges(c.size, c.k)
+		ranges := lsl.SplitRanges(c.size, c.k, true)
 		if len(ranges) != c.want {
-			t.Errorf("multipathSendRanges(%d, %d): %d ranges, want %d", c.size, c.k, len(ranges), c.want)
+			t.Errorf("multipath ranges (%d, %d): %d ranges, want %d", c.size, c.k, len(ranges), c.want)
 			continue
 		}
 		var off int64
 		for i, r := range ranges {
-			if r.from != off || r.end <= r.from {
+			if r.Off != off || r.Len <= 0 {
 				t.Fatalf("range %d = %+v, want contiguous from %d", i, r, off)
 			}
-			off = r.end
+			off = r.End()
 		}
 		if off != c.size {
 			t.Fatalf("ranges cover %d of %d bytes", off, c.size)

@@ -55,19 +55,15 @@ func (s *System) StoreAtContext(ctx context.Context, srcHost, depotHost string, 
 	if path == nil {
 		return StoreResult{}, fmt.Errorf("core: no route %s → %s", srcHost, depotHost)
 	}
-	route := make([]wire.Endpoint, 0, len(path)-2)
-	for _, h := range path[1 : len(path)-1] {
-		route = append(route, s.endpoints[h])
-	}
 
 	start := time.Now()
 	// Stores are traced like transfers: the depot-side events of the
 	// staging leg share one correlation key.
-	sess, err := lsl.OpenStore(s.dialerFor(si), s.endpoints[si], s.endpoints[di], route, traceOpt(mintTrace())...)
+	sess, err := lsl.OpenStore(s.dialerFor(si), s.endpoints[si], s.endpoints[di], s.relays(path), traceOpt(mintTrace())...)
 	if err != nil {
 		return StoreResult{}, err
 	}
-	if err := writeSessionPattern(sess, size); err != nil {
+	if _, err := depot.WritePattern(sess, sess.ID(), 0, size); err != nil {
 		sess.Close()
 		return StoreResult{}, fmt.Errorf("core: store send: %w", err)
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -9,7 +8,6 @@ import (
 	"github.com/netlogistics/lsl/internal/depot"
 	"github.com/netlogistics/lsl/internal/lsl"
 	"github.com/netlogistics/lsl/internal/obs"
-	"github.com/netlogistics/lsl/internal/retry"
 	"github.com/netlogistics/lsl/internal/wire"
 )
 
@@ -55,7 +53,8 @@ type CachedResult struct {
 // instance — falls back to an origin re-send resuming at the sink's
 // acked offset, so cache corruption costs throughput, never
 // correctness: the sink's whole-object digest check stands regardless
-// of who supplied which range.
+// of who supplied which range. Origin sends retry, resume and fail over
+// under pol exactly as TransferReliable does.
 //
 // A transfer with no holder is an ordinary reliable send that, as a
 // side effect, populates the caches of every depot it traverses —
@@ -64,16 +63,7 @@ func (s *System) TransferCached(srcHost, dstHost string, id wire.SessionID, size
 	if size <= 0 {
 		return CachedResult{}, fmt.Errorf("core: transfer size %d must be positive", size)
 	}
-	si, err := s.resolve(srcHost)
-	if err != nil {
-		return CachedResult{}, err
-	}
-	di, err := s.resolve(dstHost)
-	if err != nil {
-		return CachedResult{}, err
-	}
-	pol = pol.withDefaults()
-	path, err := s.Planner.Path(si, di)
+	si, di, path, err := s.plan(srcHost, dstHost)
 	if err != nil {
 		return CachedResult{}, err
 	}
@@ -85,9 +75,9 @@ func (s *System) TransferCached(srcHost, dstHost string, id wire.SessionID, size
 	// Cached transfers always travel with integrity stamps: the chunk
 	// framing is what lets depots trust (and cache) forwarded bytes, and
 	// the content digest is the cache key itself.
-	integrity := integrityOptions(id, size)
-	defer s.digests.drop(id)
 	tid := mintTrace()
+	opts := append(traceOpt(tid), integrityOptions(id, size)...)
+	defer s.digests.drop(id)
 	start := time.Now()
 
 	holder, coldEnd := s.bestHolder(si, path, digest)
@@ -95,54 +85,60 @@ func (s *System) TransferCached(srcHost, dstHost string, id wire.SessionID, size
 	if holder > 0 {
 		out.Holder = s.Topo.Hosts[path[holder]].Name
 	}
+	rt := &route{path: path}
+	j := &send{
+		src: si, dst: di, id: id, tid: tid,
+		q:      newRangeQueue(nil),
+		routes: []*route{rt}, workers: 1,
+		pol: pol.withDefaults(), retries: MetricRetryAttempts,
+		open: s.chainOpener(id, opts),
+	}
+	fail := func(err error) (CachedResult, error) {
+		out.OriginBytes = j.q.ackedBytes() - out.CachedBytes
+		err = fmt.Errorf("core: cached transfer delivered %d of %d bytes: %w", j.q.ackedBytes(), size, err)
+		s.observeTransfer(TransferResult{}, err)
+		return out, err
+	}
 
-	var acked int64
 	// Phase A: origin-send the cold prefix the cache cannot supply. The
 	// sink digests bytes strictly in order, so the prefix must be acked
 	// before any cache serve begins.
 	if coldEnd > 0 {
-		got, aerr := s.sendRange(path, id, 0, coldEnd, pol, tid, integrity)
-		acked += got
-		out.OriginBytes += got
-		if aerr != nil && acked < coldEnd {
-			s.observeTransfer(TransferResult{}, aerr)
-			return out, aerr
+		j.q.add(wire.ByteRange{Len: coldEnd}, true)
+		if err := s.run(j); err != nil {
+			return fail(err)
 		}
 	}
 
 	// Phase B: direct the holder to serve the remainder from its cache.
-	if holder > 0 && acked < size {
-		r := wire.ByteRange{Off: acked, Len: size - acked}
-		got := s.serveFromCache(si, path, holder, id, digest, r, pol.AttemptTimeout, tid, integrity)
-		acked += got
-		out.CachedBytes += got
-		s.cfg.Metrics.Counter(MetricCacheServedBytes).Add(got)
-		if acked < size {
+	// The remainder joins the queue parked, so the sink's report of the
+	// serve folds into it like any other delivery.
+	if holder > 0 {
+		r := j.q.add(wire.ByteRange{Off: coldEnd, Len: size - coldEnd}, false)
+		s.serveFromCache(j, path, holder, digest, r, opts)
+		acked, finished := j.q.state(r)
+		out.CachedBytes = acked - coldEnd
+		s.cfg.Metrics.Counter(MetricCacheServedBytes).Add(out.CachedBytes)
+		if !finished {
 			// The serve came up short (refused, or a cached span failed
 			// its CRC mid-read). Phase C re-sends the rest from the
 			// origin.
 			s.cfg.Metrics.Counter(MetricCacheFallbacks).Inc()
+			j.q.release(r, nil)
 		}
 	}
 
-	// Phase C: whatever is still missing comes from the origin under the
+	// Phase C: whatever is still unacked comes from the origin under the
 	// normal retry schedule. A depot that still holds a good copy may
 	// short-circuit this send from its own cache — that is offload too,
 	// but it is counted as origin traffic here because the origin paid
 	// to stream the bytes into the network again.
-	if acked < size {
-		got, aerr := s.sendRange(path, id, acked, size, pol, tid, integrity)
-		acked += got
-		out.OriginBytes += got
-		if aerr != nil && acked < size {
-			err := fmt.Errorf("core: cached transfer delivered %d of %d bytes: %w", acked, size, aerr)
-			s.observeTransfer(TransferResult{}, err)
-			return out, err
-		}
+	if err := s.run(j); err != nil {
+		return fail(err)
 	}
-	out.TransferResult = s.result(size, time.Since(start), path)
-	s.observeTransfer(out.TransferResult, nil)
-	return out, nil
+	out.OriginBytes = size - out.CachedBytes
+	out.TransferResult, err = s.finish(size, start, rt.current(), nil)
+	return out, err
 }
 
 // bestHolder probes the path's relay depots for the digest and returns
@@ -158,7 +154,7 @@ func (s *System) bestHolder(si int, path []int, digest wire.ContentDigest) (hold
 		if err != nil {
 			continue // no cache there, or unreachable: not a holder
 		}
-		c := suffixStart(ranges, digest.Size)
+		c := wire.SuffixStart(ranges, digest.Size)
 		// Prefer the longest suffix; on ties the later depot wins — it
 		// is nearer the destination, so more hops are offloaded.
 		if c < digest.Size && c <= coldEnd {
@@ -171,132 +167,33 @@ func (s *System) bestHolder(si int, path []int, digest wire.ContentDigest) (hold
 	return holder, coldEnd
 }
 
-// suffixStart returns the first byte of the contiguous cached suffix
-// ending exactly at size, or size when the cache holds no such suffix.
-// Advertised ranges are canonical (sorted, coalesced, non-overlapping),
-// so only the last range can carry the suffix.
-func suffixStart(ranges []wire.ByteRange, size int64) int64 {
-	if n := len(ranges); n > 0 && ranges[n-1].End() == size {
-		return ranges[n-1].Off
-	}
-	return size
-}
-
-// sendRange streams the object's [from, to) range from the origin under
-// the retry schedule, returning the bytes the sink verified. The range
-// end is private to the sender — the wire header carries only the
-// resume offset — so partial sends and retries compose exactly as in
-// TransferReliable.
-func (s *System) sendRange(path []int, id wire.SessionID, from, to int64, pol RecoveryPolicy, tid wire.TraceID, extra []wire.Option) (int64, error) {
-	var (
-		acked   = from
-		lastErr error
-	)
-	for attempt := 0; attempt < pol.Retry.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			s.cfg.Metrics.Counter(MetricRetryAttempts).Inc()
-			if err := pol.Retry.Sleep(context.Background(), attempt-1); err != nil {
-				break
-			}
-		}
-		got, aerr := s.attemptRange(path, id, acked, to, pol.AttemptTimeout, tid, extra)
-		acked += got
-		if aerr == nil && acked >= to {
-			return acked - from, nil
-		}
-		if aerr == nil {
-			aerr = retry.AsTransient(fmt.Errorf("core: sink acked %d of %d bytes", acked, to))
-		}
-		if retry.IsFatal(aerr) {
-			return acked - from, fmt.Errorf("core: fatal: %w", aerr)
-		}
-		lastErr = aerr
-	}
-	if acked < to {
-		return acked - from, fmt.Errorf("core: %w: %w", retry.ErrExhausted, lastErr)
-	}
-	return acked - from, nil
-}
-
-// attemptRange is one origin session delivering [offset, to): the
-// cached-transfer analogue of attemptResumable with a private range
-// end.
-func (s *System) attemptRange(path []int, id wire.SessionID, offset, to int64, timeout time.Duration, tid wire.TraceID, extra []wire.Option) (int64, error) {
-	src, dst := path[0], path[len(path)-1]
-	route := make([]wire.Endpoint, 0, len(path)-2)
-	for _, h := range path[1 : len(path)-1] {
-		route = append(route, s.endpoints[h])
-	}
-	dial := lsl.TimeoutDialer(s.dialerFor(src), timeout)
-	opts := append(traceOpt(tid), extra...)
-	sess, err := lsl.OpenAtID(dial, id, s.endpoints[src], s.endpoints[dst], route, offset, opts...)
-	if err != nil {
-		return 0, err
-	}
-	first := dst
-	if len(path) > 2 {
-		first = path[1]
-	}
-	s.emitHop0(sess.ID(), tid, src, obs.KindConnect, obs.Event{Peer: s.endpoints[first].String(), Bytes: offset})
-	ch := s.registerWaiter(sess.ID())
-	defer s.dropWaiter(sess.ID())
-	deadline := time.Now().Add(timeout)
-	_ = sess.SetWriteDeadline(deadline)
-	werr := writeSessionPatternFrom(sess, offset, to)
-	sess.Close()
-
-	settle := time.Until(deadline)
-	if werr != nil || settle < drainWindow {
-		settle = drainWindow
-	}
-	progress := func(res deliverResult) int64 {
-		if got := res.offset + res.bytes - offset; got > 0 {
-			return got
-		}
-		return 0
-	}
-	select {
-	case res := <-ch:
-		if res.err != nil {
-			return progress(res), fmt.Errorf("core: sink: %w", res.err)
-		}
-		if werr != nil && res.offset+res.bytes < to {
-			return progress(res), fmt.Errorf("core: send: %w", werr)
-		}
-		return progress(res), nil
-	case <-time.After(settle):
-		if werr != nil {
-			return 0, fmt.Errorf("core: send: %w", werr)
-		}
-		return 0, retry.AsTransient(fmt.Errorf("core: no sink report within %v", settle))
-	}
-}
-
-// serveFromCache sends the serve directive to the holding depot and
-// waits for the sink's report, returning the bytes the cache actually
-// delivered. Failures are soft: a refusal, a partial serve, or silence
-// all just leave bytes for the origin fallback to send.
-func (s *System) serveFromCache(si int, path []int, holder int, id wire.SessionID, digest wire.ContentDigest, r wire.ByteRange, timeout time.Duration, tid wire.TraceID, extra []wire.Option) int64 {
+// serveFromCache sends the serve directive for range r to the holding
+// depot and waits until r is finished, the sink reports the serve, the
+// holder refuses, or the attempt timeout passes. Failures are soft: a
+// refusal, a partial serve, or silence all just leave bytes for the
+// origin fallback to send. The queue watches the session id before the
+// directive goes out, so no report of the serve can slip past it.
+func (s *System) serveFromCache(j *send, path []int, holder int, digest wire.ContentDigest, r *xferRange, opts []wire.Option) {
 	// The directive's route runs from the holder along the rest of the
 	// planned path; the holder pushes cached bytes down exactly the hops
-	// the origin stream would have taken from there.
-	route := make([]wire.Endpoint, 0, len(path)-holder-1)
-	for _, h := range path[holder : len(path)-1] {
-		route = append(route, s.endpoints[h])
-	}
-	dst := path[len(path)-1]
-	dial := lsl.TimeoutDialer(s.dialerFor(si), timeout)
-	opts := append(traceOpt(tid), extra...)
-	sess, err := lsl.OpenCacheServe(dial, id, s.endpoints[si], s.endpoints[dst], route, digest, r, opts...)
+	// the origin stream would have taken from there: path[holder:] up to
+	// the destination.
+	route := s.relays(path[holder-1:])
+	timeout := j.pol.AttemptTimeout
+	s.watch(j.id, j.q)
+	defer s.unwatch(j.q)
+	own := j.q.expect(r.rng.Off)
+	defer j.q.forget(own)
+	_, done := j.q.frontier(r)
+	dial := lsl.TimeoutDialer(s.dialerFor(j.src), timeout)
+	sess, err := lsl.OpenCacheServe(dial, j.id, s.endpoints[j.src], s.endpoints[j.dst], route, digest, r.rng, opts...)
 	if err != nil {
-		return 0
+		return
 	}
 	defer sess.Close()
-	ch := s.registerWaiter(id)
-	defer s.dropWaiter(id)
-	s.emitHop0(id, tid, si, obs.KindConnect, obs.Event{
+	s.emitHop0(j.id, j.tid, j.src, obs.KindConnect, obs.Event{
 		Peer:   s.endpoints[path[holder]].String(),
-		Detail: fmt.Sprintf("cache serve [%d,%d)", r.Off, r.End()),
+		Detail: fmt.Sprintf("cache serve [%d,%d)", r.rng.Off, r.rng.End()),
 	})
 
 	// A holder that cannot satisfy the directive answers with a refusal
@@ -307,20 +204,13 @@ func (s *System) serveFromCache(si int, path []int, holder int, id wire.SessionI
 			refused <- struct{}{}
 		}
 	}()
-
-	progress := func(res deliverResult) int64 {
-		if got := res.offset + res.bytes - r.Off; got > 0 {
-			return got
-		}
-		return 0
-	}
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
 	select {
-	case res := <-ch:
-		return progress(res)
+	case <-done:
+	case <-own.ch:
 	case <-refused:
-		return 0
-	case <-time.After(timeout):
-		return 0
+	case <-timer.C:
 	}
 }
 

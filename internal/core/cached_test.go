@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -225,23 +226,48 @@ func TestCachedWithoutCachesDegradesToOrigin(t *testing.T) {
 	}
 }
 
-func TestSuffixStart(t *testing.T) {
-	cases := []struct {
-		name   string
-		ranges []wire.ByteRange
-		size   int64
-		want   int64
-	}{
-		{"empty", nil, 100, 100},
-		{"full", []wire.ByteRange{{Off: 0, Len: 100}}, 100, 0},
-		{"suffix", []wire.ByteRange{{Off: 40, Len: 60}}, 100, 40},
-		{"prefix only", []wire.ByteRange{{Off: 0, Len: 60}}, 100, 100},
-		{"hole before suffix", []wire.ByteRange{{Off: 0, Len: 10}, {Off: 50, Len: 50}}, 100, 50},
-		{"interior", []wire.ByteRange{{Off: 10, Len: 50}}, 100, 100},
+// TestCachedConcurrentSameObject: two transfers of the same object id
+// in flight at once share a session id at the sink. Each must still
+// hear the sink's reports — neither may wait out its attempt timeout
+// or burn a retry — whether the object is cold or already cached.
+func TestCachedConcurrentSameObject(t *testing.T) {
+	reg := obs.NewRegistry()
+	sys, _ := cachedSystem(t, reg)
+
+	id, err := wire.NewSessionID()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range cases {
-		if got := suffixStart(tc.ranges, tc.size); got != tc.want {
-			t.Errorf("%s: suffixStart = %d, want %d", tc.name, got, tc.want)
+	const size = 256 << 10
+	pol := cachedPolicy()
+	for _, phase := range []string{"cold", "warm"} {
+		var wg sync.WaitGroup
+		for k := 0; k < 2; k++ {
+			wg.Add(1)
+			go func(k int) {
+				defer wg.Done()
+				start := time.Now()
+				res, err := sys.TransferCached("src", "dst", id, size, pol)
+				if err != nil {
+					t.Errorf("%s transfer %d: %v", phase, k, err)
+					return
+				}
+				if res.Bytes != size {
+					t.Errorf("%s transfer %d: bytes = %d, want %d", phase, k, res.Bytes, size)
+				}
+				if took := time.Since(start); took > pol.AttemptTimeout/3 {
+					t.Errorf("%s transfer %d took %v of its %v attempt timeout", phase, k, took, pol.AttemptTimeout)
+				}
+			}(k)
 		}
+		wg.Wait()
+	}
+	if v := reg.Counter(MetricRetryAttempts).Value(); v != 0 {
+		t.Fatalf("%s = %d, want 0", MetricRetryAttempts, v)
+	}
+	sys.mu.Lock()
+	defer sys.mu.Unlock()
+	if n := len(sys.waiters); n != 0 {
+		t.Fatalf("%d session ids still watched after both transfers", n)
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -143,8 +144,10 @@ type System struct {
 	rng       *rand.Rand
 	control   *ctl.Controller
 
-	mu      sync.Mutex
-	waiters map[wire.SessionID]chan deliverResult
+	mu sync.Mutex
+	// waiters maps a session id to the work queues of the transfers in
+	// flight under it; the sink reports each delivery to all of them.
+	waiters map[wire.SessionID][]*rangeQueue
 	digests digestTracker
 
 	closeOnce sync.Once
@@ -175,7 +178,7 @@ func NewSystem(t *topo.Topology, cfg Config) (*System, error) {
 		caches:    make([]*cache.Cache, t.N()),
 		faults:    make([]*depot.FaultInjector, t.N()),
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
-		waiters:   make(map[wire.SessionID]chan deliverResult),
+		waiters:   make(map[wire.SessionID][]*rangeQueue),
 	}
 
 	// Address plan: host i gets 10.(i/200).(i%200+1).1.
@@ -347,12 +350,12 @@ func (s *System) routeLookup(host int) func(wire.Endpoint) (wire.Endpoint, bool)
 }
 
 // localHandler verifies delivered payloads against the session pattern
-// and completes any registered waiter. A resumed (or striped) session's
-// pattern is verified from its carried offset, so a continuation
-// appends to the interrupted transfer instead of restarting it — and a
-// stripe lands in its own byte range of the shared object. The read
-// buffer is pooled: sinks of striped transfers run one of these loops
-// per stripe.
+// and reports each delivery to the transfers watching the session
+// (complete). A resumed (or striped) session's pattern is verified from
+// its carried offset, so a continuation appends to the interrupted
+// transfer instead of restarting it — and a stripe lands in its own
+// byte range of the shared object. The read buffer is pooled: sinks of
+// striped transfers run one of these loops per stripe.
 //
 // The sink is also the last verify point of an integrity-enabled
 // session: chunk framing is stripped here (a chunk damaged on the final
@@ -430,34 +433,39 @@ func (s *System) localHandler() depot.Handler {
 	}
 }
 
-func (s *System) registerWaiter(id wire.SessionID) chan deliverResult {
-	return s.registerWaiterN(id, 8)
-}
-
-// registerWaiterN registers a waiter channel with room for n reports —
-// striped transfers receive one report per stripe attempt under a
-// single session id, so the channel must never block the sinks.
-func (s *System) registerWaiterN(id wire.SessionID, n int) chan deliverResult {
-	ch := make(chan deliverResult, n)
+// watch subscribes q to the sink reports of session id. Watching is
+// idempotent; unwatch ends every subscription of q.
+func (s *System) watch(id wire.SessionID, q *rangeQueue) {
 	s.mu.Lock()
-	s.waiters[id] = ch
-	s.mu.Unlock()
-	return ch
-}
-
-func (s *System) complete(id wire.SessionID, r deliverResult) {
-	s.mu.Lock()
-	ch := s.waiters[id]
-	s.mu.Unlock()
-	if ch != nil {
-		ch <- r
+	defer s.mu.Unlock()
+	if !slices.Contains(s.waiters[id], q) {
+		s.waiters[id] = append(s.waiters[id], q)
+		q.ids = append(q.ids, id)
 	}
 }
 
-func (s *System) dropWaiter(id wire.SessionID) {
+func (s *System) unwatch(q *rangeQueue) {
 	s.mu.Lock()
-	delete(s.waiters, id)
+	defer s.mu.Unlock()
+	for _, id := range q.ids {
+		qs := slices.DeleteFunc(s.waiters[id], func(x *rangeQueue) bool { return x == q })
+		if len(qs) == 0 {
+			delete(s.waiters, id)
+		} else {
+			s.waiters[id] = qs
+		}
+	}
+	q.ids = nil
+}
+
+// complete reports a delivery to every queue watching the session.
+func (s *System) complete(id wire.SessionID, r deliverResult) {
+	s.mu.Lock()
+	qs := slices.Clone(s.waiters[id])
 	s.mu.Unlock()
+	for _, q := range qs {
+		q.report(r)
+	}
 }
 
 // Close shuts down every listener.

@@ -200,15 +200,15 @@ func TestIntegrityDigestMismatchSurfacesAtSink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch := sys.registerWaiter(sess.ID())
-	defer sys.dropWaiter(sess.ID())
-	if err := writeSessionPattern(sess, size); err != nil {
+	waits, stop := sys.awaitReports(sess.ID(), 1)
+	defer stop()
+	if _, err := depot.WritePattern(sessionWriter(sess), sess.ID(), 0, size); err != nil {
 		t.Fatal(err)
 	}
 	sess.Close()
 
 	select {
-	case res := <-ch:
+	case res := <-waits[0].ch:
 		if !errors.Is(res.err, wire.ErrDigest) {
 			t.Fatalf("sink err = %v, want wire.ErrDigest", res.err)
 		}

@@ -1,14 +1,11 @@
 package core
 
 import (
-	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"github.com/netlogistics/lsl/internal/lsl"
 	"github.com/netlogistics/lsl/internal/obs"
-	"github.com/netlogistics/lsl/internal/retry"
 	"github.com/netlogistics/lsl/internal/wire"
 )
 
@@ -32,18 +29,6 @@ const (
 	MetricMultipathDigestVerified = "core_multipath_digest_verified_total"
 )
 
-// Multipath chunking: each route gets several ranges so the work queue
-// can rebalance, but a range never shrinks below multipathMinRange —
-// tinier ranges spend more time in session setup than in transfer.
-const (
-	multipathRangesPerPath = 4
-	multipathMinRange      = 64 << 10
-	// multipathMaxClaims bounds how many routes race one range: the
-	// owner plus at most one thief. More would burn capacity re-sending
-	// the same bytes on every route.
-	multipathMaxClaims = 2
-)
-
 // MultipathResult reports one completed multipath transfer.
 type MultipathResult struct {
 	TransferResult
@@ -57,177 +42,6 @@ type MultipathResult struct {
 	DuplicateAcks int
 }
 
-// mpRange is one chunk range of a multipath transfer's shared work
-// queue. done closes on the first full ack (first-ack-wins); the
-// bookkeeping fields are guarded by the owning queue's mutex.
-type mpRange struct {
-	idx  int
-	rng  stripeRange
-	done chan struct{}
-
-	acked    int64 // deepest absolute offset a sink report covered
-	claims   int   // route workers currently sending this range
-	finished bool
-	lastErr  error // most recent sink error, for classification
-}
-
-// mpQueue is the shared chunk-range work queue: pending ranges are
-// claimed in object order, and once the queue drains an idle route
-// steals the in-flight range with the most bytes left — a slow or
-// stalled route never holds the tail. Claims are capped so at most
-// multipathMaxClaims routes race one range.
-type mpQueue struct {
-	mu        sync.Mutex
-	cond      *sync.Cond
-	ranges    []*mpRange
-	pending   []int
-	remaining int
-	stolen    int
-	dups      int
-}
-
-func newMPQueue(ranges []stripeRange) *mpQueue {
-	q := &mpQueue{remaining: len(ranges)}
-	q.cond = sync.NewCond(&q.mu)
-	for i, r := range ranges {
-		q.ranges = append(q.ranges, &mpRange{idx: i, rng: r, acked: r.start, done: make(chan struct{})})
-		q.pending = append(q.pending, i)
-	}
-	return q
-}
-
-// claim returns the next range for a worker to drive: a pending range
-// in object order when one exists, otherwise the in-flight range with
-// the most bytes left (a steal). It blocks while every unfinished
-// range is already fully claimed and returns nil once the whole object
-// is delivered.
-func (q *mpQueue) claim() *mpRange {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for {
-		if q.remaining == 0 {
-			return nil
-		}
-		if len(q.pending) > 0 {
-			r := q.ranges[q.pending[0]]
-			q.pending = q.pending[1:]
-			r.claims++
-			return r
-		}
-		var best *mpRange
-		for _, r := range q.ranges {
-			if r.finished || r.claims == 0 || r.claims >= multipathMaxClaims {
-				continue
-			}
-			if best == nil || r.rng.end-r.acked > best.rng.end-best.acked {
-				best = r
-			}
-		}
-		if best != nil {
-			best.claims++
-			q.stolen++
-			return best
-		}
-		q.cond.Wait()
-	}
-}
-
-// release returns a worker's claim on r. An unfinished range with no
-// claimants left goes back on the pending queue so a surviving route
-// picks it up — how a dead route's work drains to its siblings.
-func (q *mpQueue) release(r *mpRange) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	r.claims--
-	if !r.finished && r.claims == 0 {
-		q.pending = append(q.pending, r.idx)
-	}
-	q.cond.Broadcast()
-}
-
-// report folds one sink delivery report into the queue: the covered
-// range's ack frontier advances, and a clean report reaching the range
-// end completes it — exactly once; a later duplicate from a stolen
-// sibling session is counted and dropped.
-func (q *mpQueue) report(res deliverResult) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	var r *mpRange
-	for _, c := range q.ranges {
-		if res.offset >= c.rng.start && res.offset < c.rng.end {
-			r = c
-			break
-		}
-	}
-	if r == nil {
-		return
-	}
-	if end := res.offset + res.bytes; end > r.acked {
-		r.acked = end
-		if r.acked > r.rng.end {
-			r.acked = r.rng.end
-		}
-	}
-	if res.err != nil {
-		r.lastErr = res.err
-	} else if res.offset+res.bytes >= r.rng.end {
-		if r.finished {
-			q.dups++
-		} else {
-			r.finished = true
-			q.remaining--
-			close(r.done)
-		}
-	}
-	q.cond.Broadcast()
-}
-
-// ackedOf returns r's current ack frontier.
-func (q *mpQueue) ackedOf(r *mpRange) int64 {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return r.acked
-}
-
-// errOf returns the most recent sink error reported against r.
-func (q *mpQueue) errOf(r *mpRange) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return r.lastErr
-}
-
-// finished reports whether r has been fully delivered.
-func (q *mpQueue) finished(r *mpRange) bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return r.finished
-}
-
-// left reports how many ranges are not yet delivered.
-func (q *mpQueue) left() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.remaining
-}
-
-// multipathRanges splits size bytes into the chunk ranges k routes
-// work-steal over: multipathRangesPerPath per route, shrunk so no
-// range falls below multipathMinRange (and never fewer ranges than
-// routes, unless the object is smaller than the route count).
-func multipathRanges(size int64, k int) []stripeRange {
-	n := k * multipathRangesPerPath
-	if int64(n)*multipathMinRange > size {
-		n = int(size / multipathMinRange)
-	}
-	if n < k {
-		n = k
-	}
-	if int64(n) > size {
-		n = int(size)
-	}
-	return stripeRanges(size, n)
-}
-
 // TransferMultipath moves size bytes from srcHost to dstHost as one
 // logical transfer fanned across up to k edge-disjoint depot routes.
 // The planner extracts the routes (best minimax bottleneck first,
@@ -237,7 +51,7 @@ func multipathRanges(size int64, k int) []stripeRange {
 // fast route simply pulls more ranges, and once the queue drains an
 // idle route steals the largest in-flight remainder so a slow or
 // killed route never holds the tail. Double completion from a stolen
-// range is resolved first-ack-wins at the sink dispatcher.
+// range is resolved first-ack-wins in the work queue.
 //
 // Every session shares the transfer's session id (sinks reassemble by
 // absolute offset, as with stripes), trace id, and — under
@@ -270,15 +84,11 @@ func (s *System) TransferMultipath(srcHost, dstHost string, size int64, k int, p
 	if err != nil {
 		return MultipathResult{}, err
 	}
-	pol = pol.withDefaults()
 	paths, err := s.Planner.DisjointPaths(si, di, k)
 	if err != nil {
 		return MultipathResult{}, err
 	}
-	if len(paths) == 0 {
-		paths = [][]int{{si, di}}
-	}
-	if len(paths) == 1 || size < 2 {
+	if len(paths) <= 1 || size < 2 {
 		res, err := s.TransferReliable(srcHost, dstHost, size, pol)
 		if err != nil {
 			return MultipathResult{}, err
@@ -295,233 +105,49 @@ func (s *System) TransferMultipath(srcHost, dstHost string, size int64, k int, p
 		return MultipathResult{}, err
 	}
 	tid := mintTrace()
-	ranges := multipathRanges(size, len(paths))
-	q := newMPQueue(ranges)
-
-	// One waiter channel serves every route session (they share the
-	// id); the dispatcher folds each sink report into the queue by the
-	// absolute offset the delivered range began at. Buffers are sized
-	// so sinks never block: at most one report per claimed attempt,
-	// and a range has at most multipathMaxClaims claimants.
-	ch := s.registerWaiterN(id, len(ranges)*pol.Retry.MaxAttempts*multipathMaxClaims)
-	defer s.dropWaiter(id)
+	opts := traceOpt(tid)
 	if s.cfg.Integrity {
+		// Unlike stripes, multipath ranges keep the whole-object digest:
+		// the sink's out-of-order tracker stitches the routes' contiguous
+		// ranges into one end-to-end SHA-256. Computing it means
+		// regenerating and hashing the full pattern, so do it once here
+		// instead of once per range session.
+		opts = append(opts, integrityOptions(id, size)...)
 		defer s.digests.drop(id)
 	}
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		for {
-			select {
-			case r := <-ch:
-				q.report(r)
-			case <-stop:
-				return
-			}
-		}
-	}()
-
-	// Every range session carries the same whole-object digest — the
-	// sink stitches the routes back into one SHA-256. Computing it
-	// means regenerating and hashing the full pattern, so do it once
-	// here instead of once per range session.
-	var integ []wire.Option
-	if s.cfg.Integrity {
-		integ = integrityOptions(id, size)
-	}
-
-	start := time.Now()
 	count := len(paths)
-	workers := make([]*stripePath, count)
-	errs := make([]error, count)
-	var wg sync.WaitGroup
+	routes := make([]*route, count)
 	for w := range paths {
-		workers[w] = &stripePath{path: paths[w]}
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			errs[w] = s.mpWorker(q, workers[w], w, count, si, di, id, set, tid, integ, pol)
-		}(w)
+		routes[w] = &route{path: paths[w]}
 	}
-	wg.Wait()
+	q := newRangeQueue(lsl.SplitRanges(size, count, true))
+	start := time.Now()
+	err = s.run(&send{
+		src: si, dst: di, id: id, tid: tid, q: q,
+		routes: routes, workers: 1,
+		pol: pol.withDefaults(), retries: MetricStripeRetries,
+		open: func(d lsl.Dialer, path []int, w int, _ *xferRange, from int64) (*lsl.Session, obs.Event, error) {
+			src, dst := s.endpoints[path[0]], s.endpoints[path[len(path)-1]]
+			sess, err := lsl.OpenPath(d, src, dst, s.relays(path), id, set, w, count, from, opts...)
+			return sess, obs.Event{Peer: s.endpoints[path[1]].String(), Path: obs.PathOf(w)}, err
+		},
+	})
 
 	out := MultipathResult{Routes: make([][]string, count)}
-	for w := range workers {
-		out.Routes[w] = s.hostNames(workers[w].current())
+	for w, rt := range routes {
+		out.Routes[w] = s.hostNames(rt.current())
 	}
-	r := s.cfg.Metrics
 	q.mu.Lock()
 	out.Stolen, out.DuplicateAcks = q.stolen, q.dups
 	q.mu.Unlock()
+	r := s.cfg.Metrics
 	r.Counter(MetricMultipathRangesStolen).Add(int64(out.Stolen))
 	r.Counter(MetricMultipathDuplicateAcks).Add(int64(out.DuplicateAcks))
-
-	for w, werr := range errs {
-		if werr != nil && retry.IsFatal(werr) {
-			err := fmt.Errorf("core: path %d/%d: %w", w, count, werr)
-			s.observeTransfer(TransferResult{}, err)
-			return MultipathResult{}, err
-		}
-	}
-	if left := q.left(); left > 0 {
-		err := fmt.Errorf("core: %d of %d ranges undelivered after every route died: %w",
-			left, len(ranges), firstErr(errs))
-		s.observeTransfer(TransferResult{}, err)
+	res, err := s.finish(size, start, routes[0].current(), err)
+	if err != nil {
 		return MultipathResult{}, err
 	}
-	out.TransferResult = s.result(size, time.Since(start), paths[0])
-	out.Path = s.hostNames(workers[0].current())
-	s.observeTransfer(out.TransferResult, nil)
+	out.TransferResult = res
 	r.Counter(MetricMultipathTransfers).Inc()
 	return out, nil
-}
-
-// firstErr returns the first non-nil error, or nil.
-func firstErr(errs []error) error {
-	for _, e := range errs {
-		if e != nil {
-			return e
-		}
-	}
-	return nil
-}
-
-// mpWorker drives one pinned route: it claims chunk ranges off the
-// shared queue until the object is delivered, and dies alone — with
-// its claim released back to the queue — when a range exhausts its
-// attempts on this route.
-func (s *System) mpWorker(q *mpQueue, route *stripePath, w, count, si, di int, id, set wire.SessionID, tid wire.TraceID, integ []wire.Option, pol RecoveryPolicy) error {
-	for {
-		r := q.claim()
-		if r == nil {
-			return nil
-		}
-		err := s.mpRangeWorker(q, r, route, w, count, si, di, id, set, tid, integ, pol)
-		q.release(r)
-		if err != nil {
-			s.cfg.Metrics.Counter(MetricMultipathPathFailures).Inc()
-			s.emitRecovery(id.String(), tid, si, obs.KindFailover, obs.Event{
-				Path:   obs.PathOf(w),
-				Detail: fmt.Sprintf("route %d abandoned: %v", w, err),
-			})
-			return err
-		}
-	}
-}
-
-// mpRangeWorker drives one claimed range to completion on one route:
-// sessions resume at the range's deepest acked offset, retrying under
-// pol (and failing the route over around dead relays when starved),
-// and it returns nil once the sink has acked the whole range — whether
-// this route delivered the tail or a stealing sibling did.
-func (s *System) mpRangeWorker(q *mpQueue, r *mpRange, route *stripePath, w, count, si, di int, id, set wire.SessionID, tid wire.TraceID, integ []wire.Option, pol RecoveryPolicy) error {
-	reg := s.cfg.Metrics
-	var lastErr error
-	noProgress := 0
-	for attempt := 0; attempt < pol.Retry.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			reg.Counter(MetricStripeRetries).Inc()
-			s.emitRecovery(id.String(), tid, si, obs.KindRetry, obs.Event{
-				Path:   obs.PathOf(w),
-				Bytes:  q.ackedOf(r),
-				Detail: fmt.Sprintf("%s: %v", retry.Classify(lastErr), lastErr),
-			})
-			if err := pol.Retry.Sleep(context.Background(), attempt-1); err != nil {
-				break
-			}
-			if acked := q.ackedOf(r); acked > r.rng.start {
-				// Bytes the continuation session does not re-send.
-				reg.Counter(MetricResumedBytes).Add(acked - r.rng.start)
-			}
-		}
-		path, gen := route.get()
-		got, aerr := s.mpAttempt(q, r, path, w, count, id, set, tid, integ, pol.AttemptTimeout)
-		if aerr == nil {
-			return nil
-		}
-		if sinkErr := q.errOf(r); sinkErr != nil && retry.IsFatal(sinkErr) {
-			reg.Counter(MetricRecoveryFatal).Inc()
-			return fmt.Errorf("core: fatal: %w", sinkErr)
-		}
-		lastErr = aerr
-		if retry.IsFatal(aerr) {
-			reg.Counter(MetricRecoveryFatal).Inc()
-			return fmt.Errorf("core: fatal: %w", aerr)
-		}
-		if got > 0 {
-			noProgress = 0
-		} else {
-			noProgress++
-		}
-		if pol.Failover && noProgress >= pol.FailoverAfter && len(path) > 2 {
-			route.failover(gen, func(cur []int) []int {
-				return s.failoverPath(si, di, cur, id.String(), tid)
-			})
-			noProgress = 0
-		}
-	}
-	return fmt.Errorf("core: %w after %d attempts: %w", retry.ErrExhausted, pol.Retry.MaxAttempts, lastErr)
-}
-
-// mpAttempt runs one pinned-route session along path, streaming the
-// pattern for absolute offsets [acked, range end) and waiting for the
-// range to finish — by this session's own full ack or a stealing
-// sibling's (the range's done channel closes either way, first ack
-// wins). It returns how many new bytes the queue's ack frontier
-// advanced and nil exactly when the range is finished.
-func (s *System) mpAttempt(q *mpQueue, r *mpRange, path []int, w, count int, id, set wire.SessionID, tid wire.TraceID, integ []wire.Option, timeout time.Duration) (int64, error) {
-	before := q.ackedOf(r)
-	src, dst := path[0], path[len(path)-1]
-	route := make([]wire.Endpoint, 0, len(path)-2)
-	for _, h := range path[1 : len(path)-1] {
-		route = append(route, s.endpoints[h])
-	}
-	dial := lsl.TimeoutDialer(s.dialerFor(src), timeout)
-	// Unlike stripes, multipath ranges keep the whole-object digest:
-	// the sink's out-of-order tracker stitches the routes' contiguous
-	// ranges into one end-to-end SHA-256. The options are precomputed
-	// per transfer — the digest is the same for every range session.
-	opts := append(traceOpt(tid), integ...)
-	sess, err := lsl.OpenPath(dial, s.endpoints[src], s.endpoints[dst], route, id, set, w, count, before, opts...)
-	if err != nil {
-		return 0, err
-	}
-	first := dst
-	if len(path) > 2 {
-		first = path[1]
-	}
-	s.emitHop0(sess.ID(), tid, src, obs.KindConnect, obs.Event{Peer: s.endpoints[first].String(), Bytes: before, Path: obs.PathOf(w)})
-
-	deadline := time.Now().Add(timeout)
-	_ = sess.SetWriteDeadline(deadline)
-	s.emitHop0(sess.ID(), tid, src, obs.KindFirstByte, obs.Event{Path: obs.PathOf(w)})
-	werr := writeSessionPatternFrom(sess, before, r.rng.end)
-	sess.Close()
-	if werr == nil {
-		s.emitHop0(sess.ID(), tid, src, obs.KindLastByte, obs.Event{Bytes: r.rng.end - before, Path: obs.PathOf(w)})
-	}
-
-	// Wait for the range to finish, mirroring stripeAttempt's settle:
-	// a clean write waits out the deadline, a torn one only a short
-	// drain window for in-flight bytes.
-	settle := time.Until(deadline)
-	if werr != nil || settle < drainWindow {
-		settle = drainWindow
-	}
-	select {
-	case <-r.done:
-		return q.ackedOf(r) - before, nil
-	case <-time.After(settle):
-		got := q.ackedOf(r) - before
-		if q.finished(r) {
-			return got, nil
-		}
-		if sinkErr := q.errOf(r); sinkErr != nil {
-			return got, fmt.Errorf("core: sink: %w", sinkErr)
-		}
-		if werr != nil {
-			return got, fmt.Errorf("core: send: %w", werr)
-		}
-		return got, retry.AsTransient(fmt.Errorf("core: range %d not finished within %v", r.idx, settle))
-	}
 }

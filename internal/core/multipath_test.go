@@ -9,20 +9,24 @@ import (
 	"time"
 
 	"github.com/netlogistics/lsl/internal/depot"
+	"github.com/netlogistics/lsl/internal/lsl"
 	"github.com/netlogistics/lsl/internal/obs"
 	"github.com/netlogistics/lsl/internal/wire"
 )
 
+// TestMultipathRangesSizing: the work queue a multipath transfer builds
+// holds several ranges per route, shrunk toward 64 KiB for small
+// objects, but never fewer ranges than routes nor more than bytes.
 func TestMultipathRangesSizing(t *testing.T) {
 	cases := []struct {
 		size int64
 		k    int
 		want int
 	}{
-		// Plenty of room: rangesPerPath per route.
-		{size: 8 << 20, k: 2, want: 2 * multipathRangesPerPath},
-		{size: 8 << 20, k: 3, want: 3 * multipathRangesPerPath},
-		// Small object: ranges shrink toward multipathMinRange...
+		// Plenty of room: four ranges per route.
+		{size: 8 << 20, k: 2, want: 8},
+		{size: 8 << 20, k: 3, want: 12},
+		// Small object: ranges shrink toward the 64 KiB floor...
 		{size: 256 << 10, k: 2, want: 4},
 		// ...but never fewer ranges than routes,
 		{size: 100 << 10, k: 3, want: 3},
@@ -30,16 +34,17 @@ func TestMultipathRangesSizing(t *testing.T) {
 		{size: 2, k: 3, want: 2},
 	}
 	for _, tc := range cases {
-		ranges := multipathRanges(tc.size, tc.k)
-		if len(ranges) != tc.want {
-			t.Fatalf("multipathRanges(%d, %d): %d ranges, want %d", tc.size, tc.k, len(ranges), tc.want)
+		q := newRangeQueue(lsl.SplitRanges(tc.size, tc.k, true))
+		if len(q.ranges) != tc.want || q.remaining != tc.want || len(q.pending) != tc.want {
+			t.Fatalf("multipath queue for (%d, %d): %d ranges (%d remaining, %d pending), want %d",
+				tc.size, tc.k, len(q.ranges), q.remaining, len(q.pending), tc.want)
 		}
 		var off int64
-		for i, r := range ranges {
-			if r.start != off || r.end <= r.start {
-				t.Fatalf("range %d = %+v, want contiguous from %d", i, r, off)
+		for i, r := range q.ranges {
+			if r.idx != i || r.rng.Off != off || r.rng.Len <= 0 || r.acked != r.rng.Off {
+				t.Fatalf("range %d = %+v, want contiguous from %d", i, r.rng, off)
 			}
-			off = r.end
+			off = r.rng.End()
 		}
 		if off != tc.size {
 			t.Fatalf("ranges cover %d of %d bytes", off, tc.size)
@@ -48,51 +53,52 @@ func TestMultipathRangesSizing(t *testing.T) {
 }
 
 func TestMPQueueClaimOrderAndSteal(t *testing.T) {
-	q := newMPQueue(stripeRanges(400, 4))
+	q := newRangeQueue(lsl.SplitRanges(400, 4, false))
+	routes := []*route{{}, {}, {}, {}}
 
 	// Pending ranges come out in object order.
-	a, b := q.claim(), q.claim()
+	a, b := q.claim(routes[0]), q.claim(routes[1])
 	if a.idx != 0 || b.idx != 1 {
 		t.Fatalf("claim order = %d, %d, want 0, 1", a.idx, b.idx)
 	}
-	c, d := q.claim(), q.claim()
+	c, d := q.claim(routes[2]), q.claim(routes[3])
 	if c.idx != 2 || d.idx != 3 {
 		t.Fatalf("claim order = %d, %d, want 2, 3", c.idx, d.idx)
 	}
 
 	// Advance two ranges unevenly, finish the other two: the next
 	// claim is a steal and must pick the range with most bytes left.
-	q.report(deliverResult{offset: a.rng.start, bytes: 80})                      // a: 20 left
-	q.report(deliverResult{offset: b.rng.start, bytes: 10})                      // b: 90 left
-	q.report(deliverResult{offset: c.rng.start, bytes: c.rng.end - c.rng.start}) // finished
-	q.report(deliverResult{offset: d.rng.start, bytes: d.rng.end - d.rng.start}) // finished
-	stolen := q.claim()
+	q.report(deliverResult{offset: a.rng.Off, bytes: 80})        // a: 20 left
+	q.report(deliverResult{offset: b.rng.Off, bytes: 10})        // b: 90 left
+	q.report(deliverResult{offset: c.rng.Off, bytes: c.rng.Len}) // finished
+	q.report(deliverResult{offset: d.rng.Off, bytes: d.rng.Len}) // finished
+	stolen := q.claim(routes[2])
 	if stolen != b {
 		t.Fatalf("stole range %d, want %d (most bytes left)", stolen.idx, b.idx)
 	}
 	if q.stolen != 1 {
 		t.Fatalf("stolen counter = %d, want 1", q.stolen)
 	}
-	// b now has multipathMaxClaims claimants; only a is stealable.
-	if next := q.claim(); next != a {
+	// b now has maxClaims claimants; only a is stealable.
+	if next := q.claim(routes[3]); next != a {
 		t.Fatalf("second steal got range %d, want %d", next.idx, a.idx)
 	}
 
 	// First full ack wins; the duplicate is counted, not double-closed.
-	q.report(deliverResult{offset: b.rng.start, bytes: b.rng.end - b.rng.start})
+	q.report(deliverResult{offset: b.rng.Off, bytes: b.rng.Len})
 	select {
 	case <-b.done:
 	default:
 		t.Fatal("done channel not closed after full ack")
 	}
-	q.report(deliverResult{offset: b.rng.start, bytes: b.rng.end - b.rng.start})
+	q.report(deliverResult{offset: b.rng.Off, bytes: b.rng.Len})
 	if q.dups != 1 {
 		t.Fatalf("duplicate acks = %d, want 1", q.dups)
 	}
 
 	// Finish the last range; claim must then report the queue drained.
-	q.report(deliverResult{offset: a.rng.start, bytes: a.rng.end - a.rng.start})
-	if got := q.claim(); got != nil {
+	q.report(deliverResult{offset: a.rng.Off, bytes: a.rng.Len})
+	if got := q.claim(routes[0]); got != nil {
 		t.Fatalf("claim on drained queue = %+v, want nil", got)
 	}
 	if q.left() != 0 {
@@ -100,26 +106,75 @@ func TestMPQueueClaimOrderAndSteal(t *testing.T) {
 	}
 }
 
-func TestMPQueueReleaseRequeuesUnfinished(t *testing.T) {
-	q := newMPQueue(stripeRanges(200, 2))
-	a := q.claim()
-	b := q.claim()
-
-	// A sink error is recorded against the range but does not finish it.
-	sinkErr := errors.New("torn")
-	q.report(deliverResult{offset: a.rng.start, bytes: 30, err: sinkErr})
-	if got := q.errOf(a); !errors.Is(got, sinkErr) {
-		t.Fatalf("errOf = %v, want %v", got, sinkErr)
+// TestMPQueueStealsOnlyAcrossRoutes: a range in flight on the claiming
+// route is never stolen back onto it — both copies would share one
+// bottleneck — so a single-route queue with nothing pending hands out
+// nothing until the object is delivered.
+func TestMPQueueStealsOnlyAcrossRoutes(t *testing.T) {
+	q := newRangeQueue(lsl.SplitRanges(200, 2, false))
+	rt := &route{}
+	a, b := q.claim(rt), q.claim(rt)
+	got := make(chan *xferRange)
+	go func() { got <- q.claim(rt) }()
+	q.report(deliverResult{offset: a.rng.Off, bytes: a.rng.Len})
+	q.report(deliverResult{offset: b.rng.Off, bytes: b.rng.Len})
+	if r := <-got; r != nil {
+		t.Fatalf("same-route claim = range %d, want nil once delivered", r.idx)
 	}
-	if q.ackedOf(a) != a.rng.start+30 {
-		t.Fatalf("acked = %d, want %d", q.ackedOf(a), a.rng.start+30)
+	if q.stolen != 0 {
+		t.Fatalf("stolen = %d, want 0", q.stolen)
+	}
+}
+
+// TestMPQueueRestartRequeuesEverything: a failed whole-object digest
+// sends every range back to its start — finished ones reopen with a
+// fresh done channel and return to the pending queue, claimed ones
+// stay with their claimant.
+func TestMPQueueRestartRequeuesEverything(t *testing.T) {
+	q := newRangeQueue(lsl.SplitRanges(300, 3, false))
+	rt := &route{}
+	a, b := q.claim(rt), q.claim(rt)
+	q.report(deliverResult{offset: a.rng.Off, bytes: a.rng.Len})
+	q.release(a, rt)
+	q.report(deliverResult{offset: b.rng.Off, bytes: 40})
+	q.restart()
+	if q.left() != 3 {
+		t.Fatalf("left = %d after restart, want 3", q.left())
+	}
+	for _, r := range []*xferRange{a, b} {
+		if acked, finished := q.state(r); acked != r.rng.Off || finished {
+			t.Fatalf("range %d state = %d, %v, want %d, unfinished", r.idx, acked, finished, r.rng.Off)
+		}
+	}
+	select {
+	case <-a.done:
+		t.Fatal("restarted range kept its closed done channel")
+	default:
+	}
+	// Still pending: the never-claimed range, then the reopened one; b
+	// stays with its claimant.
+	if c, d := q.claim(rt), q.claim(rt); c.idx != 2 || d != a {
+		t.Fatalf("claims after restart = %d, %d, want 2, %d", c.idx, d.idx, a.idx)
+	}
+}
+
+func TestMPQueueReleaseRequeuesUnfinished(t *testing.T) {
+	q := newRangeQueue(lsl.SplitRanges(200, 2, false))
+	ra, rb := &route{}, &route{}
+	a := q.claim(ra)
+	b := q.claim(rb)
+
+	// A sink error advances the frontier but does not finish the range.
+	q.report(deliverResult{offset: a.rng.Off, bytes: 30, err: errors.New("torn")})
+	if acked, finished := q.state(a); acked != a.rng.Off+30 || finished {
+		t.Fatalf("state = %d, %v, want %d, unfinished", acked, finished, a.rng.Off+30)
 	}
 
 	// Releasing the only claim on an unfinished range re-queues it: the
 	// next claim is NOT a steal — it resumes the orphaned range.
-	q.release(a)
-	q.report(deliverResult{offset: b.rng.start, bytes: b.rng.end - b.rng.start})
-	got := q.claim()
+	q.release(a, ra)
+	q.report(deliverResult{offset: b.rng.Off, bytes: b.rng.Len})
+	got := q.claim(rb)
 	if got != a {
 		t.Fatalf("claim after release = %d, want re-queued %d", got.idx, a.idx)
 	}

@@ -1,16 +1,11 @@
 package core
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
 	"time"
 
-	"github.com/netlogistics/lsl/internal/bufpool"
-	"github.com/netlogistics/lsl/internal/depot"
-	"github.com/netlogistics/lsl/internal/lsl"
 	"github.com/netlogistics/lsl/internal/obs"
 	"github.com/netlogistics/lsl/internal/retry"
 	"github.com/netlogistics/lsl/internal/wire"
@@ -81,16 +76,7 @@ func (s *System) TransferReliable(srcHost, dstHost string, size int64, pol Recov
 	if size <= 0 {
 		return TransferResult{}, fmt.Errorf("core: transfer size %d must be positive", size)
 	}
-	si, err := s.resolve(srcHost)
-	if err != nil {
-		return TransferResult{}, err
-	}
-	di, err := s.resolve(dstHost)
-	if err != nil {
-		return TransferResult{}, err
-	}
-	pol = pol.withDefaults()
-	path, err := s.Planner.Path(si, di)
+	si, di, path, err := s.plan(srcHost, dstHost)
 	if err != nil {
 		return TransferResult{}, err
 	}
@@ -99,181 +85,33 @@ func (s *System) TransferReliable(srcHost, dstHost string, size int64, pol Recov
 		// degrade to direct rather than refuse.
 		path = []int{si, di}
 	}
-
-	r := s.cfg.Metrics
 	start := time.Now()
 	// One trace id spans every attempt, resume continuation, and
 	// failover reroute of this logical transfer.
 	tid := mintTrace()
+	opts := traceOpt(tid)
 	// Under Integrity one session id spans them too: the sink keys its
 	// cross-attempt state (the running end-to-end digest) by session
 	// identity, so every continuation must present the same id. Without
 	// a digest each attempt keeps its own id — the trace id alone is
 	// the correlation key.
-	var (
-		shared    wire.SessionID
-		integrity []wire.Option
-	)
+	var id wire.SessionID
 	if s.cfg.Integrity {
-		id, err := wire.NewSessionID()
-		if err != nil {
+		if id, err = wire.NewSessionID(); err != nil {
 			return TransferResult{}, err
 		}
-		shared = id
-		integrity = integrityOptions(id, size)
+		opts = append(opts, integrityOptions(id, size)...)
 		defer s.digests.drop(id)
 	}
-	var (
-		acked      int64 // bytes the sink has verified and acked
-		lastErr    error
-		lastID     string
-		noProgress int
-	)
-	for attempt := 0; attempt < pol.Retry.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			r.Counter(MetricRetryAttempts).Inc()
-			s.emitRecovery(lastID, tid, si, obs.KindRetry, obs.Event{
-				Bytes:  acked,
-				Detail: fmt.Sprintf("%s: %v", retry.Classify(lastErr), lastErr),
-			})
-			if err := pol.Retry.Sleep(context.Background(), attempt-1); err != nil {
-				break
-			}
-		}
-		if acked > 0 {
-			// Bytes the continuation session does not re-send.
-			r.Counter(MetricResumedBytes).Add(acked)
-		}
-		got, id, aerr := s.attemptResumable(path, shared, size, acked, pol.AttemptTimeout, tid, integrity)
-		acked += got
-		lastID = id
-		if aerr == nil && acked == size {
-			out := s.result(size, time.Since(start), path)
-			s.observeTransfer(out, nil)
-			return out, nil
-		}
-		if aerr == nil {
-			// The chain tore after every write was buffered: no send
-			// error, a clean partial delivery. Retryable by definition.
-			aerr = retry.AsTransient(fmt.Errorf("core: sink acked %d of %d bytes", acked, size))
-		}
-		lastErr = aerr
-		if retry.IsFatal(aerr) {
-			r.Counter(MetricRecoveryFatal).Inc()
-			s.observeTransfer(TransferResult{}, aerr)
-			return TransferResult{}, fmt.Errorf("core: fatal: %w", aerr)
-		}
-		if errors.Is(aerr, wire.ErrDigest) {
-			// The whole-object digest failed: some delivered byte is
-			// suspect even though every chunk checksum passed, so the
-			// acked prefix can no longer be trusted. Start the object
-			// over (the sink's digest state is already gone).
-			acked = 0
-		}
-		if got > 0 {
-			noProgress = 0
-		} else {
-			noProgress++
-		}
-		if pol.Failover && noProgress >= pol.FailoverAfter && len(path) > 2 {
-			path = s.failoverPath(si, di, path, lastID, tid)
-			noProgress = 0
-		}
-	}
-	err = fmt.Errorf("core: %w after %d attempts: %w", retry.ErrExhausted, pol.Retry.MaxAttempts, lastErr)
-	s.observeTransfer(TransferResult{}, err)
-	return TransferResult{}, err
-}
-
-// drainWindow is how long a torn attempt waits for the sink's report of
-// in-flight bytes that may still land after the send side failed.
-const drainWindow = 500 * time.Millisecond
-
-// attemptResumable runs one session along path, streaming the pattern
-// from absolute byte offset and returning the bytes the sink reported
-// for this session (its ack), the session id, and the attempt's error.
-// A non-zero shared id pins the session's identity (integrity-enabled
-// transfers reuse one id across attempts); the zero id lets each
-// attempt mint its own. Partial progress and an error frequently
-// coexist: a chain that dies mid-stream still delivered its prefix.
-func (s *System) attemptResumable(path []int, shared wire.SessionID, size, offset int64, timeout time.Duration, tid wire.TraceID, extra []wire.Option) (int64, string, error) {
-	src, dst := path[0], path[len(path)-1]
-	route := make([]wire.Endpoint, 0, len(path)-2)
-	for _, h := range path[1 : len(path)-1] {
-		route = append(route, s.endpoints[h])
-	}
-	// Per-hop connect timeout on the first sublink; depots bound their
-	// own onward dials.
-	dial := lsl.TimeoutDialer(s.dialerFor(src), timeout)
-	opts := append(traceOpt(tid), extra...)
-	var (
-		sess *lsl.Session
-		err  error
-	)
-	if shared != (wire.SessionID{}) {
-		sess, err = lsl.OpenAtID(dial, shared, s.endpoints[src], s.endpoints[dst], route, offset, opts...)
-	} else {
-		sess, err = lsl.OpenAt(dial, s.endpoints[src], s.endpoints[dst], route, offset, opts...)
-	}
-	if err != nil {
-		return 0, "", err
-	}
-	id := sess.ID().String()
-	first := dst
-	if len(path) > 2 {
-		first = path[1]
-	}
-	s.emitHop0(sess.ID(), tid, src, obs.KindConnect, obs.Event{Peer: s.endpoints[first].String(), Bytes: offset})
-	ch := s.registerWaiter(sess.ID())
-	defer s.dropWaiter(sess.ID())
-
-	// A stalled chain must not pin the sender forever: every write this
-	// attempt makes races the same deadline.
-	deadline := time.Now().Add(timeout)
-	_ = sess.SetWriteDeadline(deadline)
-	s.emitHop0(sess.ID(), tid, src, obs.KindFirstByte, obs.Event{})
-	werr := writeSessionPatternFrom(sess, offset, size)
-	sess.Close()
-	if werr == nil {
-		s.emitHop0(sess.ID(), tid, src, obs.KindLastByte, obs.Event{Bytes: size - offset})
-	}
-
-	// Wait for the sink's report of what actually landed. A cleanly
-	// written attempt waits out the deadline for the delivery report —
-	// that report IS the success signal. A torn attempt waits only a
-	// short drain window: the chain is already down, and only bytes in
-	// flight can still reach the sink (they count as acked progress the
-	// retry does not re-send).
-	settle := time.Until(deadline)
-	if werr != nil || settle < drainWindow {
-		settle = drainWindow
-	}
-	// Attempts share one session id, so a late report from an earlier
-	// torn attempt can land here. Progress is therefore measured
-	// against this attempt's resume offset: a stale report (whose range
-	// starts no deeper than offset) can only under-report, never
-	// advance the ack past what the sink verified.
-	progress := func(res deliverResult) int64 {
-		if got := res.offset + res.bytes - offset; got > 0 {
-			return got
-		}
-		return 0
-	}
-	select {
-	case res := <-ch:
-		if res.err != nil {
-			return progress(res), id, fmt.Errorf("core: sink: %w", res.err)
-		}
-		if werr != nil && res.offset+res.bytes < size {
-			return progress(res), id, fmt.Errorf("core: send: %w", werr)
-		}
-		return progress(res), id, nil
-	case <-time.After(settle):
-		if werr != nil {
-			return 0, id, fmt.Errorf("core: send: %w", werr)
-		}
-		return 0, id, retry.AsTransient(fmt.Errorf("core: no sink report within %v", settle))
-	}
+	rt := &route{path: path}
+	err = s.run(&send{
+		src: si, dst: di, id: id, tid: tid,
+		q:      newRangeQueue([]wire.ByteRange{{Len: size}}),
+		routes: []*route{rt}, workers: 1,
+		pol: pol.withDefaults(), retries: MetricRetryAttempts,
+		open: s.chainOpener(id, opts),
+	})
+	return s.finish(size, start, rt.current(), err)
 }
 
 // failoverPath consults the scheduler for a route around the current
@@ -342,29 +180,4 @@ func (s *System) emitRecovery(sessID string, tid wire.TraceID, src int, kind str
 	e.Hop = 0
 	e.Node = s.endpoints[src].String()
 	obs.Emit(s.cfg.Trace, e)
-}
-
-// writeSessionPatternFrom streams the session's deterministic pattern
-// for absolute object offsets [from, size) — through the chunk framer
-// when the session is checksummed. The copy buffer is pooled with the
-// depot pumps and sink loops.
-func writeSessionPatternFrom(sess *lsl.Session, from, size int64) error {
-	w := sessionWriter(sess)
-	bp := bufpool.Get()
-	defer bufpool.Put(bp)
-	buf := *bp
-	written := from
-	for written < size {
-		n := int64(len(buf))
-		if remaining := size - written; remaining < n {
-			n = remaining
-		}
-		depot.FillPattern(buf[:n], sess.ID(), written)
-		m, err := w.Write(buf[:n])
-		written += int64(m)
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

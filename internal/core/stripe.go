@@ -1,14 +1,11 @@
 package core
 
 import (
-	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"github.com/netlogistics/lsl/internal/lsl"
 	"github.com/netlogistics/lsl/internal/obs"
-	"github.com/netlogistics/lsl/internal/retry"
 	"github.com/netlogistics/lsl/internal/wire"
 )
 
@@ -20,42 +17,6 @@ const (
 	// first, across all striped transfers.
 	MetricStripeRetries = "core_stripe_retries_total"
 )
-
-// stripeRange is one stripe's contiguous byte range [start, end) of the
-// transferred object.
-type stripeRange struct {
-	start, end int64
-}
-
-// stripeRanges splits size bytes into n contiguous ranges whose lengths
-// differ by at most one byte: the first size%n stripes carry the extra
-// byte. n must satisfy 1 <= n <= size.
-func stripeRanges(size int64, n int) []stripeRange {
-	base := size / int64(n)
-	rem := size % int64(n)
-	out := make([]stripeRange, n)
-	var off int64
-	for k := range out {
-		length := base
-		if int64(k) < rem {
-			length++
-		}
-		out[k] = stripeRange{start: off, end: off + length}
-		off += length
-	}
-	return out
-}
-
-// stripeFor locates the stripe whose range contains the absolute
-// offset, or -1 when none does.
-func stripeFor(ranges []stripeRange, offset int64) int {
-	for k, r := range ranges {
-		if offset >= r.start && offset < r.end {
-			return k
-		}
-	}
-	return -1
-}
 
 // TransferStriped moves size bytes from srcHost to dstHost over the
 // planner's chosen path using the given number of parallel sublink
@@ -91,23 +52,13 @@ func (s *System) TransferStriped(srcHost, dstHost string, size int64, stripes in
 	if stripes == 1 {
 		return s.TransferReliable(srcHost, dstHost, size, pol)
 	}
-	si, err := s.resolve(srcHost)
-	if err != nil {
-		return TransferResult{}, err
-	}
-	di, err := s.resolve(dstHost)
-	if err != nil {
-		return TransferResult{}, err
-	}
-	pol = pol.withDefaults()
-	path, err := s.Planner.Path(si, di)
+	si, di, path, err := s.plan(srcHost, dstHost)
 	if err != nil {
 		return TransferResult{}, err
 	}
 	if path == nil {
 		path = []int{si, di}
 	}
-
 	id, err := wire.NewSessionID()
 	if err != nil {
 		return TransferResult{}, err
@@ -115,162 +66,6 @@ func (s *System) TransferStriped(srcHost, dstHost string, size int64, stripes in
 	// One trace id spans every stripe, retry continuation, and failover
 	// reroute of this logical transfer.
 	tid := mintTrace()
-	ranges := stripeRanges(size, stripes)
-
-	// One waiter channel serves every stripe session (they share the
-	// id); a dispatcher routes each sink report to its stripe by the
-	// absolute offset the delivered range began at. Buffers are sized
-	// so sinks never block: at most one report per stripe attempt.
-	ch := s.registerWaiterN(id, stripes*pol.Retry.MaxAttempts)
-	defer s.dropWaiter(id)
-	perStripe := make([]chan deliverResult, stripes)
-	for k := range perStripe {
-		perStripe[k] = make(chan deliverResult, pol.Retry.MaxAttempts)
-	}
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		for {
-			select {
-			case r := <-ch:
-				if k := stripeFor(ranges, r.offset); k >= 0 {
-					perStripe[k] <- r
-				}
-			case <-stop:
-				return
-			}
-		}
-	}()
-
-	start := time.Now()
-	sp := &stripePath{path: path}
-	errs := make([]error, stripes)
-	var wg sync.WaitGroup
-	for k := range ranges {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			errs[k] = s.stripeWorker(sp, si, di, id, tid, k, stripes, ranges[k], pol, perStripe[k])
-		}(k)
-	}
-	wg.Wait()
-	path = sp.current()
-
-	for k, werr := range errs {
-		if werr != nil {
-			err := fmt.Errorf("core: stripe %d/%d: %w", k, stripes, werr)
-			s.observeTransfer(TransferResult{}, err)
-			return TransferResult{}, err
-		}
-	}
-	out := s.result(size, time.Since(start), path)
-	s.observeTransfer(out, nil)
-	s.cfg.Metrics.Counter(MetricStripedTransfers).Inc()
-	return out, nil
-}
-
-// stripePath is the depot path a striped transfer's workers share. A
-// failover reroute decided by one stripe advances the generation and
-// every sibling's next attempt follows the new path; the generation
-// guard in failover makes concurrent triggers from several starved
-// stripes cost a single probe-and-replan.
-type stripePath struct {
-	mu   sync.Mutex
-	path []int
-	gen  int
-}
-
-// get returns the current path and its generation.
-func (p *stripePath) get() ([]int, int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.path, p.gen
-}
-
-// current returns the path the transfer ended on.
-func (p *stripePath) current() []int {
-	path, _ := p.get()
-	return path
-}
-
-// failover reroutes via fn unless a sibling already rerouted past gen.
-func (p *stripePath) failover(gen int, fn func(cur []int) []int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if gen != p.gen {
-		return // a sibling already rerouted this generation
-	}
-	p.path = fn(p.path)
-	p.gen++
-}
-
-// stripeWorker drives one stripe to completion: it opens stripe
-// sessions resuming at the deepest acked offset, retrying under pol
-// (and triggering a shared-path failover when starved), and returns
-// nil once the sink has verified the stripe's whole range.
-func (s *System) stripeWorker(sp *stripePath, si, di int, id wire.SessionID, tid wire.TraceID, k, count int, rng stripeRange, pol RecoveryPolicy, results <-chan deliverResult) error {
-	r := s.cfg.Metrics
-	acked := rng.start // absolute offset the sink has verified up to
-	var lastErr error
-	noProgress := 0
-	for attempt := 0; attempt < pol.Retry.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			r.Counter(MetricStripeRetries).Inc()
-			s.emitRecovery(id.String(), tid, si, obs.KindRetry, obs.Event{
-				Stripe: obs.StripeOf(k),
-				Bytes:  acked,
-				Detail: fmt.Sprintf("%s: %v", retry.Classify(lastErr), lastErr),
-			})
-			if err := pol.Retry.Sleep(context.Background(), attempt-1); err != nil {
-				break
-			}
-			if acked > rng.start {
-				// Bytes the continuation session does not re-send.
-				r.Counter(MetricResumedBytes).Add(acked - rng.start)
-			}
-		}
-		path, gen := sp.get()
-		got, aerr := s.stripeAttempt(path, id, tid, k, count, acked, rng.end, pol.AttemptTimeout, results)
-		acked += got
-		if aerr == nil && acked == rng.end {
-			return nil
-		}
-		if aerr == nil {
-			aerr = retry.AsTransient(fmt.Errorf("core: sink acked %d of %d stripe bytes", acked-rng.start, rng.end-rng.start))
-		}
-		lastErr = aerr
-		if retry.IsFatal(aerr) {
-			r.Counter(MetricRecoveryFatal).Inc()
-			return fmt.Errorf("core: fatal: %w", aerr)
-		}
-		if got > 0 {
-			noProgress = 0
-		} else {
-			noProgress++
-		}
-		if pol.Failover && noProgress >= pol.FailoverAfter && len(path) > 2 {
-			sp.failover(gen, func(cur []int) []int {
-				return s.failoverPath(si, di, cur, id.String(), tid)
-			})
-			noProgress = 0
-		}
-	}
-	return fmt.Errorf("core: %w after %d attempts: %w", retry.ErrExhausted, pol.Retry.MaxAttempts, lastErr)
-}
-
-// stripeAttempt runs one stripe session along path, streaming the
-// pattern for absolute offsets [from, end) and returning how many new
-// bytes the sink acked past from. Reports are read from the stripe's
-// routed channel; a late report from an earlier torn attempt only ever
-// increases the acked prefix (its range starts no deeper than from), so
-// progress is the maximum of offset+bytes over the reports seen.
-func (s *System) stripeAttempt(path []int, id wire.SessionID, tid wire.TraceID, k, count int, from, end int64, timeout time.Duration, results <-chan deliverResult) (int64, error) {
-	src, dst := path[0], path[len(path)-1]
-	route := make([]wire.Endpoint, 0, len(path)-2)
-	for _, h := range path[1 : len(path)-1] {
-		route = append(route, s.endpoints[h])
-	}
-	dial := lsl.TimeoutDialer(s.dialerFor(src), timeout)
 	opts := traceOpt(tid)
 	if s.cfg.Integrity {
 		// Stripes carry per-chunk checksums but no content digest: the
@@ -278,51 +73,22 @@ func (s *System) stripeAttempt(path []int, id wire.SessionID, tid wire.TraceID, 
 		// verifiers guard them.
 		opts = append(opts, wire.ChunkChecksumOption())
 	}
-	sess, err := lsl.OpenStripe(dial, s.endpoints[src], s.endpoints[dst], route, id, k, count, from, opts...)
-	if err != nil {
-		return 0, err
+	start := time.Now()
+	rt := &route{path: path}
+	err = s.run(&send{
+		src: si, dst: di, id: id, tid: tid,
+		q:      newRangeQueue(lsl.SplitRanges(size, stripes, false)),
+		routes: []*route{rt}, workers: stripes,
+		pol: pol.withDefaults(), retries: MetricStripeRetries,
+		open: func(d lsl.Dialer, path []int, _ int, r *xferRange, from int64) (*lsl.Session, obs.Event, error) {
+			src, dst := s.endpoints[path[0]], s.endpoints[path[len(path)-1]]
+			sess, err := lsl.OpenStripe(d, src, dst, s.relays(path), id, r.idx, stripes, from, opts...)
+			return sess, obs.Event{Peer: s.endpoints[path[1]].String(), Stripe: obs.StripeOf(r.idx)}, err
+		},
+	})
+	out, err := s.finish(size, start, rt.current(), err)
+	if err == nil {
+		s.cfg.Metrics.Counter(MetricStripedTransfers).Inc()
 	}
-	first := dst
-	if len(path) > 2 {
-		first = path[1]
-	}
-	s.emitHop0(sess.ID(), tid, src, obs.KindConnect, obs.Event{Peer: s.endpoints[first].String(), Bytes: from, Stripe: obs.StripeOf(k)})
-
-	deadline := time.Now().Add(timeout)
-	_ = sess.SetWriteDeadline(deadline)
-	s.emitHop0(sess.ID(), tid, src, obs.KindFirstByte, obs.Event{Stripe: obs.StripeOf(k)})
-	werr := writeSessionPatternFrom(sess, from, end)
-	sess.Close()
-	if werr == nil {
-		s.emitHop0(sess.ID(), tid, src, obs.KindLastByte, obs.Event{Bytes: end - from, Stripe: obs.StripeOf(k)})
-	}
-
-	// Wait for the sink's report, mirroring attemptResumable: a clean
-	// write waits out the deadline for the delivery report, a torn one
-	// only a short drain window for in-flight bytes.
-	settle := time.Until(deadline)
-	if werr != nil || settle < drainWindow {
-		settle = drainWindow
-	}
-	progress := func(res deliverResult) int64 {
-		if got := res.offset + res.bytes - from; got > 0 {
-			return got
-		}
-		return 0
-	}
-	select {
-	case res := <-results:
-		if res.err != nil {
-			return progress(res), fmt.Errorf("core: sink: %w", res.err)
-		}
-		if werr != nil && res.offset+res.bytes < end {
-			return progress(res), fmt.Errorf("core: send: %w", werr)
-		}
-		return progress(res), nil
-	case <-time.After(settle):
-		if werr != nil {
-			return 0, fmt.Errorf("core: send: %w", werr)
-		}
-		return 0, retry.AsTransient(fmt.Errorf("core: no sink report within %v", settle))
-	}
+	return out, err
 }

@@ -11,46 +11,6 @@ import (
 	"github.com/netlogistics/lsl/internal/retry"
 )
 
-func TestStripeRangesPartition(t *testing.T) {
-	cases := []struct {
-		size int64
-		n    int
-	}{
-		{size: 10, n: 1},
-		{size: 10, n: 3},
-		{size: 1 << 20, n: 4},
-		{size: 7, n: 7},
-	}
-	for _, tc := range cases {
-		ranges := stripeRanges(tc.size, tc.n)
-		if len(ranges) != tc.n {
-			t.Fatalf("stripeRanges(%d, %d): %d ranges", tc.size, tc.n, len(ranges))
-		}
-		var off int64
-		for k, r := range ranges {
-			if r.start != off {
-				t.Fatalf("stripe %d starts at %d, want %d (gap or overlap)", k, r.start, off)
-			}
-			if r.end <= r.start {
-				t.Fatalf("stripe %d is empty: %+v", k, r)
-			}
-			if got := stripeFor(ranges, r.start); got != k {
-				t.Fatalf("stripeFor(%d) = %d, want %d", r.start, got, k)
-			}
-			if got := stripeFor(ranges, r.end-1); got != k {
-				t.Fatalf("stripeFor(%d) = %d, want %d", r.end-1, got, k)
-			}
-			off = r.end
-		}
-		if off != tc.size {
-			t.Fatalf("ranges cover %d of %d bytes", off, tc.size)
-		}
-	}
-	if got := stripeFor(stripeRanges(10, 2), 10); got != -1 {
-		t.Fatalf("stripeFor(out of range) = %d, want -1", got)
-	}
-}
-
 // TestStripedTransferDelivers moves an object over four parallel
 // sublink chains sharing one session id and asserts byte-exact
 // reassembly plus per-stripe observability: every stripe must appear in

@@ -5,11 +5,11 @@ import (
 	"net"
 	"time"
 
-	"github.com/netlogistics/lsl/internal/bufpool"
 	"github.com/netlogistics/lsl/internal/depot"
 	"github.com/netlogistics/lsl/internal/graph"
 	"github.com/netlogistics/lsl/internal/lsl"
 	"github.com/netlogistics/lsl/internal/obs"
+	"github.com/netlogistics/lsl/internal/retry"
 	"github.com/netlogistics/lsl/internal/wire"
 )
 
@@ -105,24 +105,36 @@ func (s *System) resolve(host string) (int, error) {
 	return i, nil
 }
 
+// plan resolves both hosts and returns the planner's current path
+// between them, or nil when the forecasts hold no route.
+func (s *System) plan(srcHost, dstHost string) (si, di int, path []int, err error) {
+	if si, err = s.resolve(srcHost); err != nil {
+		return 0, 0, nil, err
+	}
+	if di, err = s.resolve(dstHost); err != nil {
+		return 0, 0, nil, err
+	}
+	path, err = s.Planner.Path(si, di)
+	return si, di, path, err
+}
+
+// plannedRoute is plan for the unrecovered transfers, which refuse a
+// pair the forecasts hold no route for.
+func (s *System) plannedRoute(srcHost, dstHost string) ([]int, error) {
+	_, _, path, err := s.plan(srcHost, dstHost)
+	if err == nil && path == nil {
+		err = fmt.Errorf("core: no route %s → %s", srcHost, dstHost)
+	}
+	return path, err
+}
+
 // Transfer moves size bytes from srcHost to dstHost over the planner's
 // chosen path (which may be direct), waiting until the sink has
 // received and verified every byte.
 func (s *System) Transfer(srcHost, dstHost string, size int64) (TransferResult, error) {
-	si, err := s.resolve(srcHost)
+	path, err := s.plannedRoute(srcHost, dstHost)
 	if err != nil {
 		return TransferResult{}, err
-	}
-	di, err := s.resolve(dstHost)
-	if err != nil {
-		return TransferResult{}, err
-	}
-	path, err := s.Planner.Path(si, di)
-	if err != nil {
-		return TransferResult{}, err
-	}
-	if path == nil {
-		return TransferResult{}, fmt.Errorf("core: no route %s → %s", srcHost, dstHost)
 	}
 	return s.transferAlong(path, size)
 }
@@ -132,20 +144,9 @@ func (s *System) Transfer(srcHost, dstHost string, size int64) (TransferResult, 
 // the path grants it weight× the per-round credit of a weight-1
 // session. On an unscheduled deployment the option rides along inert.
 func (s *System) TransferWeighted(srcHost, dstHost string, size int64, weight uint16) (TransferResult, error) {
-	si, err := s.resolve(srcHost)
+	path, err := s.plannedRoute(srcHost, dstHost)
 	if err != nil {
 		return TransferResult{}, err
-	}
-	di, err := s.resolve(dstHost)
-	if err != nil {
-		return TransferResult{}, err
-	}
-	path, err := s.Planner.Path(si, di)
-	if err != nil {
-		return TransferResult{}, err
-	}
-	if path == nil {
-		return TransferResult{}, fmt.Errorf("core: no route %s → %s", srcHost, dstHost)
 	}
 	return s.transferAlong(path, size, wire.SessionWeightOption(weight))
 }
@@ -166,15 +167,7 @@ func (s *System) DirectTransfer(srcHost, dstHost string, size int64) (TransferRe
 
 // PlannedPath reports the host names on the planner's current route.
 func (s *System) PlannedPath(srcHost, dstHost string) ([]string, error) {
-	si, err := s.resolve(srcHost)
-	if err != nil {
-		return nil, err
-	}
-	di, err := s.resolve(dstHost)
-	if err != nil {
-		return nil, err
-	}
-	path, err := s.Planner.Path(si, di)
+	_, _, path, err := s.plan(srcHost, dstHost)
 	if err != nil {
 		return nil, err
 	}
@@ -193,85 +186,49 @@ func (s *System) hostNames(path []int) []string {
 // extra options (trace ids are added here; weights arrive from the
 // caller) ride the session header end to end.
 func (s *System) transferAlong(path []int, size int64, extra ...wire.Option) (TransferResult, error) {
-	if size <= 0 {
-		return TransferResult{}, fmt.Errorf("core: transfer size %d must be positive", size)
-	}
 	if len(path) < 2 {
 		return TransferResult{}, fmt.Errorf("core: path needs at least 2 hosts")
 	}
-	src, dst := path[0], path[len(path)-1]
-	route := make([]wire.Endpoint, 0, len(path)-2)
-	for _, h := range path[1 : len(path)-1] {
-		route = append(route, s.endpoints[h])
-	}
-
-	start := time.Now()
 	tid := mintTrace()
 	opts := append(traceOpt(tid), extra...)
-	var (
-		sess *lsl.Session
-		err  error
-	)
+	var id wire.SessionID
 	if s.cfg.Integrity {
 		// The content digest is keyed by the session id (the payload is
 		// the id-seeded pattern), so integrity transfers mint the id
 		// before opening instead of letting Open draw one.
-		id, ierr := wire.NewSessionID()
-		if ierr != nil {
-			s.observeTransfer(TransferResult{}, ierr)
-			return TransferResult{}, ierr
-		}
-		defer s.digests.drop(id)
-		opts = append(opts, integrityOptions(id, size)...)
-		sess, err = lsl.OpenAtID(s.dialerFor(src), id, s.endpoints[src], s.endpoints[dst], route, 0, opts...)
-	} else {
-		sess, err = lsl.Open(s.dialerFor(src), s.endpoints[src], s.endpoints[dst], route, opts...)
-	}
-	if err != nil {
-		s.observeTransfer(TransferResult{}, err)
-		return TransferResult{}, err
-	}
-	first := dst
-	if len(path) > 2 {
-		first = path[1]
-	}
-	s.emitHop0(sess.ID(), tid, src, obs.KindConnect, obs.Event{Peer: s.endpoints[first].String()})
-	ch := s.registerWaiter(sess.ID())
-	defer s.dropWaiter(sess.ID())
-
-	s.emitHop0(sess.ID(), tid, src, obs.KindFirstByte, obs.Event{})
-	werr := writeSessionPattern(sess, size)
-	sess.Close()
-	if werr != nil {
-		s.observeTransfer(TransferResult{}, werr)
-		return TransferResult{}, fmt.Errorf("core: send: %w", werr)
-	}
-	s.emitHop0(sess.ID(), tid, src, obs.KindLastByte, obs.Event{Bytes: size})
-
-	select {
-	case res := <-ch:
-		elapsed := time.Since(start)
-		if res.err != nil {
-			s.observeTransfer(TransferResult{}, res.err)
-			return TransferResult{}, fmt.Errorf("core: sink: %w", res.err)
-		}
-		if res.bytes != size {
-			err := fmt.Errorf("core: sink received %d of %d bytes", res.bytes, size)
+		var err error
+		if id, err = wire.NewSessionID(); err != nil {
 			s.observeTransfer(TransferResult{}, err)
 			return TransferResult{}, err
 		}
-		out := s.result(size, elapsed, path)
-		s.observeTransfer(out, nil)
-		if s.cfg.FeedObservations && len(path) == 2 {
-			// A direct transfer doubles as an end-to-end measurement.
-			_ = s.Planner.Observe(s.Topo.Hosts[src].Name, s.Topo.Hosts[dst].Name, out.Bandwidth)
-		}
-		return out, nil
-	case <-time.After(transferTimeout):
-		err := fmt.Errorf("core: transfer timed out after %v", transferTimeout)
-		s.observeTransfer(TransferResult{}, err)
-		return TransferResult{}, err
+		defer s.digests.drop(id)
+		opts = append(opts, integrityOptions(id, size)...)
 	}
+	out, err := s.once(path, size, tid, s.chainOpener(id, opts))
+	if err == nil && s.cfg.FeedObservations && len(path) == 2 {
+		// A direct transfer doubles as an end-to-end measurement.
+		src, dst := path[0], path[1]
+		_ = s.Planner.Observe(s.Topo.Hosts[src].Name, s.Topo.Hosts[dst].Name, out.Bandwidth)
+	}
+	return out, err
+}
+
+// once moves size bytes along path as a single-attempt run of the
+// engine: one route, one range, no retry — the paper's plain transfer.
+func (s *System) once(path []int, size int64, tid wire.TraceID, open opener) (TransferResult, error) {
+	if size <= 0 {
+		return TransferResult{}, fmt.Errorf("core: transfer size %d must be positive", size)
+	}
+	start := time.Now()
+	err := s.run(&send{
+		src: path[0], dst: path[len(path)-1], tid: tid,
+		q:      newRangeQueue([]wire.ByteRange{{Len: size}}),
+		routes: []*route{{path: path}}, workers: 1,
+		pol:     RecoveryPolicy{Retry: retry.Policy{MaxAttempts: 1}, AttemptTimeout: transferTimeout}.withDefaults(),
+		retries: MetricRetryAttempts,
+		open:    open,
+	})
+	return s.finish(size, start, path, err)
 }
 
 // Replan rebuilds the scheduling trees from the monitor's current
@@ -286,33 +243,7 @@ func (s *System) Replan() error { return s.Planner.Replan() }
 // The reported path is the initiator's planned path; the depots'
 // per-node trees may in principle route differently.
 func (s *System) TransferHopByHop(srcHost, dstHost string, size int64) (TransferResult, error) {
-	if size <= 0 {
-		return TransferResult{}, fmt.Errorf("core: transfer size %d must be positive", size)
-	}
-	si, err := s.resolve(srcHost)
-	if err != nil {
-		return TransferResult{}, err
-	}
-	di, err := s.resolve(dstHost)
-	if err != nil {
-		return TransferResult{}, err
-	}
-	path, err := s.Planner.Path(si, di)
-	if err != nil {
-		return TransferResult{}, err
-	}
-	if path == nil {
-		return TransferResult{}, fmt.Errorf("core: no route %s → %s", srcHost, dstHost)
-	}
-	first := di
-	if len(path) > 2 {
-		first = path[1]
-	}
-
-	start := time.Now()
-	// Dial the first hop with the final destination in the header and
-	// NO source route: forwarding decisions belong to the depots.
-	conn, err := s.dialerFor(si).Dial(s.endpoints[first].String())
+	path, err := s.plannedRoute(srcHost, dstHost)
 	if err != nil {
 		return TransferResult{}, err
 	}
@@ -324,44 +255,36 @@ func (s *System) TransferHopByHop(srcHost, dstHost string, size int64) (Transfer
 		// Wrap mints internally, so it stays off this path.
 		opts = append(opts, wire.ChunkChecksumOption())
 	}
-	sess, err := lsl.Wrap(conn, s.endpoints[si], s.endpoints[di], opts...)
-	if err != nil {
-		s.observeTransfer(TransferResult{}, err)
-		return TransferResult{}, err
-	}
-	s.emitHop0(sess.ID(), tid, si, obs.KindConnect, obs.Event{Peer: s.endpoints[first].String()})
-	ch := s.registerWaiter(sess.ID())
-	defer s.dropWaiter(sess.ID())
+	// Dial the first hop with the final destination in the header and
+	// NO source route: forwarding decisions belong to the depots.
+	return s.once(path, size, tid, s.wrapOpener(path[1], opts))
+}
 
-	s.emitHop0(sess.ID(), tid, si, obs.KindFirstByte, obs.Event{})
-	if err := writeSessionPattern(sess, size); err != nil {
-		sess.Close()
-		s.observeTransfer(TransferResult{}, err)
-		return TransferResult{}, fmt.Errorf("core: hop-by-hop send: %w", err)
+// wrapOpener dials host first and opens a session to the path's
+// destination over it with no source route, leaving every forwarding
+// decision to the depots' route tables.
+func (s *System) wrapOpener(first int, opts []wire.Option) opener {
+	return func(d lsl.Dialer, path []int, _ int, _ *xferRange, _ int64) (*lsl.Session, obs.Event, error) {
+		tags := obs.Event{Peer: s.endpoints[first].String()}
+		conn, err := d.Dial(tags.Peer)
+		if err != nil {
+			return nil, tags, err
+		}
+		sess, err := lsl.Wrap(conn, s.endpoints[path[0]], s.endpoints[path[len(path)-1]], opts...)
+		return sess, tags, err
 	}
-	sess.Close()
-	s.emitHop0(sess.ID(), tid, si, obs.KindLastByte, obs.Event{Bytes: size})
+}
 
-	select {
-	case res := <-ch:
-		elapsed := time.Since(start)
-		if res.err != nil {
-			s.observeTransfer(TransferResult{}, res.err)
-			return TransferResult{}, fmt.Errorf("core: sink: %w", res.err)
-		}
-		if res.bytes != size {
-			err := fmt.Errorf("core: sink received %d of %d bytes", res.bytes, size)
-			s.observeTransfer(TransferResult{}, err)
-			return TransferResult{}, err
-		}
-		out := s.result(size, elapsed, path)
-		s.observeTransfer(out, nil)
-		return out, nil
-	case <-time.After(transferTimeout):
-		err := fmt.Errorf("core: hop-by-hop transfer timed out after %v", transferTimeout)
-		s.observeTransfer(TransferResult{}, err)
-		return TransferResult{}, err
+// awaitReports watches session id for a send outside the engine whose
+// n sinks each report the session from offset 0 once; stop ends the
+// watch.
+func (s *System) awaitReports(id wire.SessionID, n int) (waits []*reportWait, stop func()) {
+	q := newRangeQueue(nil)
+	s.watch(id, q)
+	for range n {
+		waits = append(waits, q.expect(0))
 	}
+	return waits, func() { s.unwatch(q) }
 }
 
 // transferTimeout bounds a single emulated transfer in wall time.
@@ -381,28 +304,16 @@ func (s *System) result(size int64, elapsed time.Duration, path []int) TransferR
 	}
 }
 
-// writeSessionPattern streams the session's deterministic pattern —
-// through the chunk framer when the session is checksummed. The copy
-// buffer is pooled with the depot pumps and sink loops.
-func writeSessionPattern(sess *lsl.Session, size int64) error {
-	w := sessionWriter(sess)
-	bp := bufpool.Get()
-	defer bufpool.Put(bp)
-	buf := *bp
-	var written int64
-	for written < size {
-		n := int64(len(buf))
-		if remaining := size - written; remaining < n {
-			n = remaining
-		}
-		depot.FillPattern(buf[:n], sess.ID(), written)
-		m, err := w.Write(buf[:n])
-		written += int64(m)
-		if err != nil {
-			return err
-		}
+// finish records a transfer's outcome in the registry: the result of
+// size bytes delivered along path since start, or err.
+func (s *System) finish(size int64, start time.Time, path []int, err error) (TransferResult, error) {
+	if err != nil {
+		s.observeTransfer(TransferResult{}, err)
+		return TransferResult{}, err
 	}
-	return nil
+	out := s.result(size, time.Since(start), path)
+	s.observeTransfer(out, nil)
+	return out, nil
 }
 
 // MulticastResult reports a staging operation.
@@ -469,11 +380,13 @@ func (s *System) Multicast(srcHost string, dstHosts []string, size int64) (Multi
 		return MulticastResult{}, err
 	}
 	s.emitHop0(sess.ID(), tid, si, obs.KindConnect, obs.Event{Peer: root.Addr.String()})
-	ch := s.registerWaiter(sess.ID())
-	defer s.dropWaiter(sess.ID())
+	// Every leaf's sink reports the whole object once.
+	leaves := root.Leaves()
+	waits, stop := s.awaitReports(sess.ID(), len(leaves))
+	defer stop()
 
 	s.emitHop0(sess.ID(), tid, si, obs.KindFirstByte, obs.Event{})
-	if err := writeSessionPattern(sess, size); err != nil {
+	if _, err := depot.WritePattern(sessionWriter(sess), sess.ID(), 0, size); err != nil {
 		sess.Close()
 		s.observeTransfer(TransferResult{}, err)
 		return MulticastResult{}, fmt.Errorf("core: multicast send: %w", err)
@@ -481,17 +394,18 @@ func (s *System) Multicast(srcHost string, dstHosts []string, size int64) (Multi
 	sess.Close()
 	s.emitHop0(sess.ID(), tid, si, obs.KindLastByte, obs.Event{Bytes: size})
 
-	leaves := root.Leaves()
+	timeout := time.NewTimer(transferTimeout)
+	defer timeout.Stop()
 	var delivered int64
-	for range leaves {
+	for _, w := range waits {
 		select {
-		case res := <-ch:
+		case res := <-w.ch:
 			if res.err != nil {
 				s.observeTransfer(TransferResult{}, res.err)
 				return MulticastResult{}, fmt.Errorf("core: multicast sink: %w", res.err)
 			}
 			delivered += res.bytes
-		case <-time.After(transferTimeout):
+		case <-timeout.C:
 			err := fmt.Errorf("core: multicast timed out after %v", transferTimeout)
 			s.observeTransfer(TransferResult{}, err)
 			return MulticastResult{}, err

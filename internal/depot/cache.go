@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"sync"
 
 	"github.com/netlogistics/lsl/internal/cache"
 	"github.com/netlogistics/lsl/internal/lsl"
@@ -224,7 +225,12 @@ func (s *Server) cacheShortCircuit(sess *lsl.Session, f *flow, next wire.Endpoin
 // complete frames arrived before a failure are still good bytes and
 // are committed. An unchecked stream carries no per-chunk proof, so it
 // is committed only when the session completes cleanly.
+//
+// The tap is locked because a pump that fails on its write side
+// returns while its reader goroutine may still be teeing into the tap
+// the handler is committing.
 type cacheTap struct {
+	mu      sync.Mutex
 	c       *cache.Cache
 	key     wire.ContentDigest
 	base    int64
@@ -250,6 +256,8 @@ func (s *Server) cacheTap(h *wire.Header) *cacheTap {
 // Write implements io.Writer for the tee off the pump source. It never
 // fails: population is best-effort and must not disturb forwarding.
 func (t *cacheTap) Write(p []byte) (int, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	if t.broken {
 		return len(p), nil
 	}
@@ -285,7 +293,12 @@ func (t *cacheTap) Write(p []byte) (int, error) {
 // committed even after a mid-session failure — a partial range is
 // still a true range; unverified bytes only on a clean end.
 func (t *cacheTap) commit(clean bool) {
-	if t == nil || t.broken || t.raw.Len() == 0 {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.broken || t.raw.Len() == 0 {
 		return
 	}
 	if !t.framed && !clean {

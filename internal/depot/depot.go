@@ -945,7 +945,7 @@ func (s *Server) handleGenerate(sess *lsl.Session, f *flow) error {
 
 	// A checksummed generate session frames the synthesized stream so
 	// every downstream hop verifies it like any other payload.
-	n, err := writePattern(framedWriter(dst, sess.Header), int64(size), sess.Header.Session)
+	n, err := WritePattern(framedWriter(dst, sess.Header), sess.Header.Session, 0, int64(size))
 	s.st.generated.Add(1)
 	s.st.bytesForwarded.Add(n)
 	s.met.bytesFwd.Add(n)
@@ -955,26 +955,29 @@ func (s *Server) handleGenerate(sess *lsl.Session, f *flow) error {
 	return nil
 }
 
-// writePattern emits size bytes of a deterministic pattern derived from
-// the session id, so sinks can verify integrity end to end.
-func writePattern(w io.Writer, size int64, id wire.SessionID) (int64, error) {
+// WritePattern streams the session's deterministic pattern for the
+// absolute object offsets [from, end) through w — the payload every
+// sender in the system emits and every sink verifies with
+// VerifyPattern. The copy buffer is pooled with the depot pumps and
+// sink loops. It returns the bytes w accepted.
+func WritePattern(w io.Writer, id wire.SessionID, from, end int64) (int64, error) {
 	bp := bufpool.Get()
 	defer bufpool.Put(bp)
 	buf := *bp
-	var written int64
-	for written < size {
+	off := from
+	for off < end {
 		n := int64(len(buf))
-		if remaining := size - written; remaining < n {
+		if remaining := end - off; remaining < n {
 			n = remaining
 		}
-		FillPattern(buf[:n], id, written)
+		FillPattern(buf[:n], id, off)
 		m, err := w.Write(buf[:n])
-		written += int64(m)
+		off += int64(m)
 		if err != nil {
-			return written, err
+			return off - from, err
 		}
 	}
-	return written, nil
+	return off - from, nil
 }
 
 // FillPattern fills buf with the deterministic byte pattern of the

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"io"
 
-	"github.com/netlogistics/lsl/internal/bufpool"
 	"github.com/netlogistics/lsl/internal/lsl"
 	"github.com/netlogistics/lsl/internal/obs"
 	"github.com/netlogistics/lsl/internal/wire"
@@ -56,19 +55,7 @@ func framedWriter(dst io.Writer, h *wire.Header) io.Writer {
 // pattern-filled transfer of the given size.
 func PatternDigest(id wire.SessionID, size int64) wire.ContentDigest {
 	h := sha256.New()
-	bp := bufpool.Get()
-	defer bufpool.Put(bp)
-	buf := *bp
-	var off int64
-	for off < size {
-		n := int64(len(buf))
-		if remaining := size - off; remaining < n {
-			n = remaining
-		}
-		FillPattern(buf[:n], id, off)
-		h.Write(buf[:n])
-		off += n
-	}
+	WritePattern(h, id, 0, size) //nolint:errcheck // hash writes never fail
 	d := wire.ContentDigest{Size: size}
 	h.Sum(d.Sum[:0])
 	return d

@@ -95,7 +95,7 @@ func BenchmarkWritePattern(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := writePattern(io.Discard, 8<<20, id); err != nil {
+		if _, err := WritePattern(io.Discard, id, 0, 8<<20); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -88,7 +88,7 @@ func multipathTopology() (*topo.Topology, error) {
 // Every transfer runs with end-to-end integrity on, so the sweep also
 // demonstrates the digest surviving out-of-order multi-route
 // reassembly. The expected shape: aggregate throughput well above the
-// best single minimax route — the work-stealing dispatcher keeps both
+// best single minimax route — the work-stealing queue keeps both
 // routes busy until the object's tail.
 func Multipath(cfg MultipathConfig) ([]MultipathRow, error) {
 	if cfg.Size <= 0 {

@@ -189,6 +189,34 @@ func OpenPath(d Dialer, src, dst wire.Endpoint, route []wire.Endpoint, id, set w
 	return openWithID(d, id, src, dst, route, wire.TypeData, cloneOpts(opts, extra))
 }
 
+// SplitRanges cuts a size-byte object into the contiguous ranges its
+// workers carry: the stripes of OpenStripe or the routes of OpenPath.
+// Without rebalance every worker gets exactly one range. With
+// rebalance each worker gets several, so a faster route can pull more
+// of them, but no range shrinks below 64 KiB: tinier ranges spend more
+// time in session setup than in transfer. There are never fewer ranges
+// than workers, unless the object has fewer bytes than that. Range
+// lengths differ by at most one byte.
+func SplitRanges(size int64, workers int, rebalance bool) []wire.ByteRange {
+	const perWorker, minRange = 4, 64 << 10
+	n := workers
+	if rebalance {
+		n = max(workers, min(workers*perWorker, int(size/minRange)))
+	}
+	n = int(min(int64(n), size))
+	base, rem := size/int64(n), size%int64(n)
+	out := make([]wire.ByteRange, n)
+	var off int64
+	for k := range out {
+		out[k] = wire.ByteRange{Off: off, Len: base}
+		if int64(k) < rem {
+			out[k].Len++
+		}
+		off += out[k].Len
+	}
+	return out
+}
+
 // TimeoutDialer bounds each Dial through d to the given timeout,
 // giving per-hop connect timeouts to transports (like the emulated
 // network) whose dials cannot otherwise be interrupted. On timeout the

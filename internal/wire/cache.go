@@ -144,6 +144,19 @@ func ParseCacheAdvert(o Option) ([]ByteRange, error) {
 	return out, nil
 }
 
+// SuffixStart returns the first byte of the cached suffix that runs to
+// exactly size, or size when the advertised ranges hold no such suffix.
+// Only a suffix can be spliced onto an origin send of the prefix. An
+// advertisement ParseCacheAdvert accepted is sorted and
+// non-overlapping, and a cache coalesces adjacent spans, so only the
+// last range can carry the suffix.
+func SuffixStart(ranges []ByteRange, size int64) int64 {
+	if n := len(ranges); n > 0 && ranges[n-1].End() == size {
+		return ranges[n-1].Off
+	}
+	return size
+}
+
 // CacheServeOption encodes a serve-from-cache directive for one range
 // of the digested object.
 func CacheServeOption(d ContentDigest, r ByteRange) Option {

@@ -236,3 +236,24 @@ func TestDuplicateOptionsLastWins(t *testing.T) {
 		})
 	}
 }
+
+func TestSuffixStart(t *testing.T) {
+	cases := []struct {
+		name   string
+		ranges []ByteRange
+		size   int64
+		want   int64
+	}{
+		{"empty", nil, 100, 100},
+		{"full", []ByteRange{{Off: 0, Len: 100}}, 100, 0},
+		{"suffix", []ByteRange{{Off: 40, Len: 60}}, 100, 40},
+		{"prefix only", []ByteRange{{Off: 0, Len: 60}}, 100, 100},
+		{"hole before suffix", []ByteRange{{Off: 0, Len: 10}, {Off: 50, Len: 50}}, 100, 50},
+		{"interior", []ByteRange{{Off: 10, Len: 50}}, 100, 100},
+	}
+	for _, tc := range cases {
+		if got := SuffixStart(tc.ranges, tc.size); got != tc.want {
+			t.Errorf("%s: SuffixStart = %d, want %d", tc.name, got, tc.want)
+		}
+	}
+}
