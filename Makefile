@@ -57,7 +57,7 @@ fuzz-smoke:
 # The data path is lock-free by design; prove it under the race
 # detector where the concurrency lives.
 race:
-	$(GO) test -race ./internal/obs/... ./internal/depot/... ./internal/cache/... ./internal/lsl/... ./internal/core/... ./internal/ctl/... ./internal/schedule/...
+	$(GO) test -race ./internal/obs/... ./internal/depot/... ./internal/cache/... ./internal/blobstore/... ./internal/lsl/... ./internal/core/... ./internal/ctl/... ./internal/schedule/...
 
 # Statement-coverage floors for the packages whose untested branches
 # hurt the most (see coverage-floors.txt for which and why). The
@@ -65,7 +65,7 @@ race:
 # any floor breach or floored package missing from the profile.
 COVER_OUT ?= cover.out
 cover:
-	$(GO) test -coverprofile $(COVER_OUT) -covermode atomic ./internal/wire/ ./internal/cache/ ./internal/schedule/ ./internal/core/
+	$(GO) test -coverprofile $(COVER_OUT) -covermode atomic ./internal/wire/ ./internal/cache/ ./internal/blobstore/ ./internal/schedule/ ./internal/core/
 	$(GO) run ./cmd/covercheck -profile $(COVER_OUT) -floors coverage-floors.txt
 
 # The full pre-commit gate.

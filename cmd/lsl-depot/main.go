@@ -26,12 +26,13 @@
 //
 // With -spool-dir the depot's session store grows a durable disk tier:
 // when stored payloads overflow the memory budget, the coldest ones
-// spill to content-addressed files in that directory (named by their
-// SHA-256, written atomically) instead of being evicted, and a
+// spill to CRC-framed files in that directory (named by session id and
+// payload length, written atomically) instead of being evicted, and a
 // restarted depot re-indexes the directory so async-stored sessions
 // survive a crash — torn writes and files damaged at rest are detected
-// by their digest and dropped, never served. -spool-bytes caps the disk
-// tier; beyond it the coldest spooled payload is evicted for good.
+// by their frame checksums and length and dropped, never served.
+// -spool-bytes caps the disk tier; beyond it the coldest spooled
+// payload is evicted for good.
 // Sessions opened with the chunk-checksum option (lsl-xfer
 // -verify-integrity) are verified and re-stamped as they pass through;
 // a damaged chunk stops the forward, refuses the session upstream, and
@@ -117,7 +118,7 @@ var (
 	fairShare    = flag.Bool("fair-share", false, "schedule concurrent forwarded sessions by their carried weights (weighted DRR over the downstream trunk)")
 	trunkRate    = flag.Float64("trunk-rate", 0, "with -fair-share, pace aggregate forwarding to this many bytes/s (0 = work-conserving)")
 	storeBytes   = flag.Int64("store-bytes", depot.DefaultStoreBytes, "memory budget for the async session store; overflow spills to -spool-dir (or evicts without one)")
-	spoolDir     = flag.String("spool-dir", "", "durable disk tier for the session store: spill cold payloads here as content-addressed files and re-index them on restart (empty = memory only)")
+	spoolDir     = flag.String("spool-dir", "", "durable disk tier for the session store: spill cold payloads here as CRC-framed files and re-index them on restart (empty = memory only)")
 	spoolBytes   = flag.Int64("spool-bytes", depot.DefaultSpoolBytes, "with -spool-dir, cap the disk tier at this many bytes (coldest spooled payload evicted beyond it)")
 	cacheBytes   = flag.Int64("cache-bytes", 0, "run a content-addressed chunk cache over this many memory bytes; forwarded digest-carrying sessions populate it and repeats are served from it (0 = no cache)")
 	cacheDir     = flag.String("cache-dir", "", "with -cache-bytes, spill cold cache spans to CRC-framed files in this directory (4x the memory budget) and re-index them on restart (empty = memory only)")

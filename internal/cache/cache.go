@@ -11,30 +11,27 @@
 // coverage the cache re-hashes it end to end and drops it on mismatch,
 // after which the entry is advertised in the depot's digest inventory.
 //
-// Storage is two-tiered with a single recency order spanning both
-// tiers, mirroring the depot spool LRU: spans live in memory until the
-// memory budget overflows, then the coldest spans spill to
-// content-addressed files in the cache directory; when the disk budget
-// overflows the coldest disk span is evicted outright. Every span is
-// stored CRC-framed (the wire chunk framing), in memory and on disk
-// alike, and every read streams back through the verifying frame
-// reader — a flipped bit in cached state surfaces as wire.ErrChecksum
-// at serve time, the span is dropped, and the transfer falls back to
-// the origin.
+// Each span — one contiguous range of one object — is one CRC-framed
+// blob in an internal/blobstore store keyed by {digest, offset,
+// length}. The store owns the memory and disk tiers, their one recency
+// order, spilling and the restart re-index; every read streams back
+// through the verifying frame reader, so a flipped bit in cached state
+// surfaces as wire.ErrChecksum at serve time, the span is dropped, and
+// the transfer falls back to the origin.
 package cache
 
 import (
 	"bytes"
-	"container/list"
 	"crypto/sha256"
 	"errors"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 
+	"github.com/netlogistics/lsl/internal/blobstore"
+	"github.com/netlogistics/lsl/internal/bufpool"
 	"github.com/netlogistics/lsl/internal/obs"
 	"github.com/netlogistics/lsl/internal/wire"
 )
@@ -42,9 +39,6 @@ import (
 // ErrMiss reports that the cache does not (fully) hold the requested
 // range. Serve paths treat it as "go to the origin".
 var ErrMiss = errors.New("cache: range not held")
-
-// errTooLarge reports a span that cannot fit either tier's budget.
-var errTooLarge = errors.New("cache: span exceeds cache budget")
 
 // Metric names registered by the cache. They carry the depot_ prefix
 // because the cache is depot-resident state: one cache per depot, and
@@ -60,21 +54,19 @@ const (
 	MetricEvictions = "depot_cache_evictions_total"
 	// MetricBytes counts payload bytes served out of the cache.
 	MetricBytes = "depot_cache_bytes_total"
-	// MetricOccupancy gauges the bytes currently held across both tiers
-	// (framed size, the unit the budgets are expressed in).
+	// MetricOccupancy gauges the payload bytes currently held across
+	// both tiers, the unit the budgets are expressed in.
 	MetricOccupancy = "depot_cache_occupancy_bytes"
 )
 
 // Config parameterizes a cache.
 type Config struct {
-	// MemoryBytes is the memory-tier budget in framed bytes. Required.
+	// MemoryBytes is the memory-tier budget in payload bytes. Required.
 	MemoryBytes int64
-	// Dir, when set, enables the disk tier: spans displaced from memory
-	// spill to CRC-framed files here and are re-indexed on restart.
+	// Dir, when set, enables the disk tier, four times MemoryBytes:
+	// spans displaced from memory spill to CRC-framed files here and
+	// are re-indexed on restart.
 	Dir string
-	// DiskBytes bounds the disk tier. Defaults to 4x MemoryBytes when a
-	// Dir is configured.
-	DiskBytes int64
 	// Metrics receives the depot_cache_* series. Optional.
 	Metrics *obs.Registry
 }
@@ -83,8 +75,8 @@ type Config struct {
 type Stats struct {
 	Objects     int   // distinct digests with at least one span
 	Complete    int   // digests held in full (inventory size)
-	MemBytes    int64 // framed bytes resident in memory
-	DiskBytes   int64 // framed bytes resident on disk
+	MemBytes    int64 // payload bytes resident in memory
+	DiskBytes   int64 // payload bytes resident on disk
 	Hits        int64
 	Misses      int64
 	Evictions   int64
@@ -93,46 +85,50 @@ type Stats struct {
 	Dropped     int // damaged files dropped during re-index
 }
 
-// span is one cached byte range of one object, stored CRC-framed in
-// exactly one tier.
-type span struct {
-	key    wire.ContentDigest
-	off    int64
-	length int64  // payload bytes
-	framed int64  // stored bytes (payload + frame headers)
-	frames []byte // memory tier; nil when spilled
-	path   string // disk tier; empty while in memory
-	el     *list.Element
+// spanExt suffixes spilled span files:
+// <spanKey>-<payload length hex>.cb. It differs from the depot spool's,
+// so both may share one directory.
+const spanExt = ".cb"
+
+// spanKey names one span's blob.
+type spanKey struct {
+	digest   wire.ContentDigest
+	off, len int64
 }
 
-func (s *span) end() int64 { return s.off + s.length }
+func (k spanKey) end() int64 { return k.off + k.len }
+
+// String is the span's file-name stem: <sha256>-<object size>-<span
+// offset>-<span length>, hex.
+func (k spanKey) String() string {
+	return fmt.Sprintf("%064x-%016x-%016x-%016x", k.digest.Sum, uint64(k.digest.Size), uint64(k.off), uint64(k.len))
+}
+
+// parseSpanKey inverts spanKey.String.
+func parseSpanKey(name string) (k spanKey, ok bool) {
+	var sum []byte
+	_, err := fmt.Sscanf(name, "%x-%x-%x-%x", &sum, &k.digest.Size, &k.off, &k.len)
+	copy(k.digest.Sum[:], sum)
+	return k, err == nil && k.String() == name && k.len > 0 && k.end() <= k.digest.Size
+}
 
 // entry is every span held for one digest, sorted by offset and
 // non-overlapping.
 type entry struct {
-	spans    []*span
+	spans    []spanKey
 	complete bool // full coverage, whole-object hash verified
 }
 
 // Cache is a content-addressed range cache. All methods are safe for
 // concurrent use.
 type Cache struct {
-	memCap  int64
-	diskCap int64
-	dir     string
-
 	hits, misses, evictions, bytesServed *obs.Counter
 	occupancy                            *obs.Gauge
 
-	mu        sync.Mutex
-	entries   map[wire.ContentDigest]*entry
-	lru       *list.List // of *span; front = most recent
-	memUsed   int64
-	diskUsed  int64
-	stats     Stats
-	tampered  int // spans deliberately damaged by Tamper (tests)
-	recovered int
-	dropped   int
+	mu      sync.Mutex
+	store   *blobstore.Store[spanKey]
+	entries map[wire.ContentDigest]*entry
+	stats   Stats
 }
 
 // New builds a cache and, when a directory is configured, re-indexes
@@ -142,55 +138,68 @@ func New(cfg Config) (*Cache, error) {
 	if cfg.MemoryBytes <= 0 {
 		return nil, errors.New("cache: MemoryBytes must be positive")
 	}
-	diskCap := cfg.DiskBytes
-	if cfg.Dir != "" && diskCap <= 0 {
-		diskCap = 4 * cfg.MemoryBytes
+	store, rec, err := blobstore.New(cfg.Dir, spanExt, cfg.MemoryBytes, 4*cfg.MemoryBytes, parseSpanKey)
+	if err != nil {
+		return nil, fmt.Errorf("cache: %w", err)
 	}
+	m := cfg.Metrics // a nil registry hands out no-op series
 	c := &Cache{
-		memCap:  cfg.MemoryBytes,
-		diskCap: diskCap,
-		dir:     cfg.Dir,
-		entries: make(map[wire.ContentDigest]*entry),
-		lru:     list.New(),
+		hits:        m.Counter(MetricHits),
+		misses:      m.Counter(MetricMisses),
+		evictions:   m.Counter(MetricEvictions),
+		bytesServed: m.Counter(MetricBytes),
+		occupancy:   m.Gauge(MetricOccupancy),
+		store:       store,
+		entries:     make(map[wire.ContentDigest]*entry),
 	}
-	if cfg.Metrics != nil {
-		c.hits = cfg.Metrics.Counter(MetricHits)
-		c.misses = cfg.Metrics.Counter(MetricMisses)
-		c.evictions = cfg.Metrics.Counter(MetricEvictions)
-		c.bytesServed = cfg.Metrics.Counter(MetricBytes)
-		c.occupancy = cfg.Metrics.Gauge(MetricOccupancy)
-	}
-	if c.dir != "" {
-		if err := os.MkdirAll(c.dir, 0o755); err != nil {
-			return nil, fmt.Errorf("cache: %w", err)
+	c.stats.Recovered, c.stats.Dropped = rec.Evicted, rec.Dropped
+	c.stats.Evictions = int64(rec.Evicted)
+	c.evictions.Add(c.stats.Evictions)
+	for _, k := range rec.Keys {
+		e := c.entry(k.digest)
+		if gaps := uncovered(e.spans, k.off, k.end()); len(gaps) != 1 || gaps[0] != (wire.ByteRange{Off: k.off, Len: k.len}) {
+			// Overlaps a span already indexed: drop the duplicate.
+			c.store.Remove(k)
+			c.stats.Dropped++
+			continue
 		}
-		if err := c.recover(); err != nil {
-			return nil, err
+		e.spans = insertSpan(e.spans, k)
+		c.stats.Recovered++
+	}
+	// Re-verify full objects end to end so the inventory only ever
+	// advertises digests this process has proven.
+	for key, e := range c.entries {
+		if len(e.spans) == 0 {
+			delete(c.entries, key)
+		} else if coverFrom(e.spans, 0) >= key.Size {
+			c.verifyComplete(key, e)
 		}
 	}
+	c.setOccupancy()
 	return c, nil
-}
-
-func addCounter(c *obs.Counter, n int64) {
-	if c != nil {
-		c.Add(n)
-	}
 }
 
 // setOccupancy must be called with mu held after any size change.
 func (c *Cache) setOccupancy() {
-	if c.occupancy != nil {
-		c.occupancy.Set(c.memUsed + c.diskUsed)
+	st := c.store.Stats()
+	c.occupancy.Set(st.MemBytes + st.DiskBytes)
+}
+
+// entry returns the digest's entry, creating it. Called with mu held.
+func (c *Cache) entry(key wire.ContentDigest) *entry {
+	e := c.entries[key]
+	if e == nil {
+		e = &entry{}
+		c.entries[key] = e
 	}
+	return e
 }
 
 // Put stores data as the object's bytes at [off, off+len(data)).
-// Already-held portions are skipped (entries are immutable, so the
-// bytes cannot differ unless something upstream is broken — and full
-// coverage re-verifies the whole object against the digest). The new
-// span becomes the most recently used and the budgets are rebalanced:
-// memory overflow spills the coldest spans to disk, disk overflow
-// evicts. A span too large for every configured tier is rejected.
+// Already-held portions are skipped: entries are immutable, and full
+// coverage re-verifies the whole object against the digest. Each new
+// span becomes the most recently used blob. A span too large for every
+// configured tier is rejected.
 func (c *Cache) Put(key wire.ContentDigest, off int64, data []byte) error {
 	if len(data) == 0 {
 		return nil
@@ -198,280 +207,113 @@ func (c *Cache) Put(key wire.ContentDigest, off int64, data []byte) error {
 	if off < 0 || off+int64(len(data)) > key.Size {
 		return fmt.Errorf("cache: put [%d,%d) outside object of %d bytes", off, off+int64(len(data)), key.Size)
 	}
+	if !c.Fits(int64(len(data))) {
+		return fmt.Errorf("cache: %w", blobstore.ErrTooLarge)
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e := c.entries[key]
-	if e == nil {
-		e = &entry{}
-		c.entries[key] = e
+	defer c.setOccupancy()
+	for _, gap := range uncovered(c.entry(key).spans, off, off+int64(len(data))) {
+		k := spanKey{key, gap.Off, gap.Len}
+		// Cannot fail: the frames are well formed and the span fits.
+		evicted, _ := c.store.Put(k, wire.AppendFrames(nil, data[gap.Off-off:gap.End()-off]))
+		e := c.entry(key)
+		e.spans = insertSpan(e.spans, k)
+		c.forget(evicted)
 	}
-	for _, gap := range uncovered(e.spans, off, off+int64(len(data))) {
-		sub := data[gap.Off-off : gap.End()-off]
-		framed := frameBytes(sub)
-		if int64(len(framed)) > c.memCap && (c.dir == "" || int64(len(framed)) > c.diskCap) {
-			return errTooLarge
-		}
-		sp := &span{key: key, off: gap.Off, length: gap.Len, framed: int64(len(framed)), frames: framed}
-		sp.el = c.lru.PushFront(sp)
-		c.memUsed += sp.framed
-		e.spans = insertSpan(e.spans, sp)
-	}
-	c.rebalance()
-	c.setOccupancy()
-	if !e.complete && coversAll(e.spans, key.Size) {
+	if e := c.entries[key]; e != nil && !e.complete && coverFrom(e.spans, 0) >= key.Size {
 		c.verifyComplete(key, e)
 	}
 	return nil
 }
 
-// frameBytes CRC-frames payload into a fresh buffer.
-func frameBytes(payload []byte) []byte {
-	var buf bytes.Buffer
-	buf.Grow(len(payload) + FrameOverhead(len(payload)))
-	fw := wire.NewFrameWriter(&buf)
-	_, _ = fw.Write(payload) // bytes.Buffer writes cannot fail
-	return buf.Bytes()
-}
-
-// FrameOverhead returns the framing bytes added to a payload of n
-// bytes — useful for sizing cache budgets against object sizes.
-func FrameOverhead(n int) int {
-	frames := (n + wire.MaxFramePayload - 1) / wire.MaxFramePayload
-	if frames == 0 {
-		frames = 1
-	}
-	return frames * wire.FrameHeaderLen
-}
-
 // uncovered returns the sub-ranges of [lo, hi) not covered by spans.
-func uncovered(spans []*span, lo, hi int64) []wire.ByteRange {
+func uncovered(spans []spanKey, lo, hi int64) []wire.ByteRange {
 	var out []wire.ByteRange
-	at := lo
 	for _, sp := range spans {
-		if sp.end() <= at {
-			continue
-		}
 		if sp.off >= hi {
 			break
 		}
-		if sp.off > at {
-			out = append(out, wire.ByteRange{Off: at, Len: sp.off - at})
+		if sp.off > lo {
+			out = append(out, wire.ByteRange{Off: lo, Len: sp.off - lo})
 		}
-		if sp.end() > at {
-			at = sp.end()
-		}
-		if at >= hi {
-			return out
-		}
+		lo = max(lo, sp.end())
 	}
-	if at < hi {
-		out = append(out, wire.ByteRange{Off: at, Len: hi - at})
+	if lo < hi {
+		out = append(out, wire.ByteRange{Off: lo, Len: hi - lo})
 	}
 	return out
 }
 
 // insertSpan inserts sp keeping the slice sorted by offset.
-func insertSpan(spans []*span, sp *span) []*span {
+func insertSpan(spans []spanKey, sp spanKey) []spanKey {
 	i := sort.Search(len(spans), func(i int) bool { return spans[i].off > sp.off })
-	spans = append(spans, nil)
-	copy(spans[i+1:], spans[i:])
-	spans[i] = sp
-	return spans
-}
-
-// coversAll reports whether spans contiguously cover [0, size).
-func coversAll(spans []*span, size int64) bool {
-	return coverFrom(spans, 0) >= size
+	return slices.Insert(spans, i, sp)
 }
 
 // coverFrom returns the furthest offset reachable contiguously from
 // `from` through the sorted spans (at least `from` itself).
-func coverFrom(spans []*span, from int64) int64 {
+func coverFrom(spans []spanKey, from int64) int64 {
 	at := from
 	for _, sp := range spans {
 		if sp.off > at {
 			break
 		}
-		if sp.end() > at {
-			at = sp.end()
-		}
+		at = max(at, sp.end())
 	}
 	return at
 }
 
 // verifyComplete re-hashes a fully covered entry against its digest,
-// marking it advertisable on success and dropping it wholesale on
-// mismatch. Called with mu held.
+// marking it advertisable on success and dropping it wholesale on a
+// mismatch or a span that fails its CRC. Called with mu held.
 func (c *Cache) verifyComplete(key wire.ContentDigest, e *entry) {
 	h := sha256.New()
-	at := int64(0)
-	for _, sp := range e.spans {
-		payload, err := c.spanPayload(sp)
+	bp := bufpool.Get()
+	defer bufpool.Put(bp)
+	for _, k := range e.spans {
+		r, err := c.store.Open(k)
+		if err == nil {
+			_, err = io.CopyBuffer(h, r, *bp)
+			r.Close()
+		}
 		if err != nil {
-			c.dropEntryLocked(key)
+			c.drop(slices.Clone(e.spans)...)
 			return
 		}
-		// Overlap is impossible by construction; adjacency means the
-		// payload starts exactly at `at`.
-		if sp.off != at {
-			c.dropEntryLocked(key)
-			return
-		}
-		h.Write(payload)
-		at = sp.end()
 	}
 	var sum [wire.DigestLen]byte
-	h.Sum(sum[:0])
-	if sum != key.Sum {
-		c.dropEntryLocked(key)
+	if h.Sum(sum[:0]); sum != key.Sum {
+		c.drop(slices.Clone(e.spans)...)
 		return
 	}
 	e.complete = true
 }
 
-// spanPayload reads and CRC-verifies one span's payload. Called with
-// mu held.
-func (c *Cache) spanPayload(sp *span) ([]byte, error) {
-	var src io.Reader
-	var closer io.Closer
-	if sp.frames != nil {
-		src = bytes.NewReader(sp.frames)
-	} else {
-		f, err := os.Open(sp.path)
-		if err != nil {
-			return nil, err
+// forget prunes spans the store evicted, counting each. mu is held.
+func (c *Cache) forget(keys []spanKey) {
+	for _, k := range keys {
+		e := c.entries[k.digest]
+		if e == nil {
+			continue
 		}
-		src = f
-		closer = f
-	}
-	payload, err := io.ReadAll(wire.NewFrameReader(src))
-	if closer != nil {
-		closer.Close()
-	}
-	if err != nil {
-		return nil, err
-	}
-	if int64(len(payload)) != sp.length {
-		return nil, fmt.Errorf("%w: span payload %d != %d", wire.ErrChecksum, len(payload), sp.length)
-	}
-	return payload, nil
-}
-
-// rebalance restores the tier budgets: memory overflow spills the
-// coldest memory spans to disk (or evicts them when no directory is
-// configured), disk overflow evicts the coldest disk spans. Called
-// with mu held.
-func (c *Cache) rebalance() {
-	for c.memUsed > c.memCap {
-		sp := c.coldest(true)
-		if sp == nil {
-			break
+		if i := slices.Index(e.spans, k); i >= 0 {
+			e.spans = slices.Delete(e.spans, i, i+1)
+			e.complete = false
 		}
-		if c.dir == "" || !c.spill(sp) {
-			c.evict(sp)
-		}
-	}
-	for c.dir != "" && c.diskUsed > c.diskCap {
-		sp := c.coldest(false)
-		if sp == nil {
-			break
-		}
-		c.evict(sp)
-	}
-}
-
-// coldest returns the least recently used span in the requested tier.
-func (c *Cache) coldest(memory bool) *span {
-	for el := c.lru.Back(); el != nil; el = el.Prev() {
-		sp := el.Value.(*span)
-		if (sp.frames != nil) == memory {
-			return sp
-		}
-	}
-	return nil
-}
-
-// spill moves a memory span to the disk tier (tmp+rename, so restart
-// re-indexing never sees a torn file as current). Reports success;
-// failure leaves the span in memory and the caller evicts instead.
-func (c *Cache) spill(sp *span) bool {
-	name := spanFileName(sp.key, sp.off, sp.length)
-	path := filepath.Join(c.dir, name)
-	tmp, err := os.CreateTemp(c.dir, name+".tmp")
-	if err != nil {
-		return false
-	}
-	_, werr := tmp.Write(sp.frames)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		return false
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return false
-	}
-	c.memUsed -= sp.framed
-	c.diskUsed += sp.framed
-	sp.frames = nil
-	sp.path = path
-	return true
-}
-
-// evict removes a span entirely. Called with mu held.
-func (c *Cache) evict(sp *span) {
-	c.removeSpan(sp)
-	c.stats.Evictions++
-	addCounter(c.evictions, 1)
-}
-
-// removeSpan detaches a span from its entry, the recency list, and its
-// tier, without counting an eviction. Called with mu held.
-func (c *Cache) removeSpan(sp *span) {
-	e := c.entries[sp.key]
-	if e != nil {
-		for i, s := range e.spans {
-			if s == sp {
-				e.spans = append(e.spans[:i], e.spans[i+1:]...)
-				break
-			}
-		}
-		e.complete = false
 		if len(e.spans) == 0 {
-			delete(c.entries, sp.key)
+			delete(c.entries, k.digest)
 		}
 	}
-	if sp.el != nil {
-		c.lru.Remove(sp.el)
-		sp.el = nil
-	}
-	if sp.frames != nil {
-		c.memUsed -= sp.framed
-		sp.frames = nil
-	} else if sp.path != "" {
-		c.diskUsed -= sp.framed
-		os.Remove(sp.path)
-		sp.path = ""
-	}
+	c.stats.Evictions += int64(len(keys))
+	c.evictions.Add(int64(len(keys)))
 }
 
-// dropEntryLocked evicts every span of one digest. Called with mu held.
-func (c *Cache) dropEntryLocked(key wire.ContentDigest) {
-	e := c.entries[key]
-	if e == nil {
-		return
-	}
-	for len(e.spans) > 0 {
-		c.evict(e.spans[0])
-	}
+// drop removes spans from the store and the index, counted as
+// evictions. Called with mu held.
+func (c *Cache) drop(keys ...spanKey) {
+	c.forget(slices.DeleteFunc(keys, func(k spanKey) bool { return !c.store.Remove(k) }))
 	c.setOccupancy()
-}
-
-// Drop evicts everything held for one digest.
-func (c *Cache) Drop(key wire.ContentDigest) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.dropEntryLocked(key)
 }
 
 // Ranges returns the held byte ranges for a digest, coalesced and
@@ -488,12 +330,10 @@ func (c *Cache) Ranges(key wire.ContentDigest) []wire.ByteRange {
 	var out []wire.ByteRange
 	for _, sp := range e.spans {
 		if n := len(out); n > 0 && out[n-1].End() >= sp.off {
-			if sp.end() > out[n-1].End() {
-				out[n-1].Len = sp.end() - out[n-1].Off
-			}
+			out[n-1].Len = max(out[n-1].End(), sp.end()) - out[n-1].Off
 			continue
 		}
-		out = append(out, wire.ByteRange{Off: sp.off, Len: sp.length})
+		out = append(out, wire.ByteRange{Off: sp.off, Len: sp.len})
 	}
 	return out
 }
@@ -508,23 +348,21 @@ func (c *Cache) Holds(key wire.ContentDigest, r wire.ByteRange) bool {
 	if e != nil && r.Len > 0 && coverFrom(e.spans, r.Off) >= r.End() {
 		return true
 	}
-	c.stats.Misses++
-	addCounter(c.misses, 1)
+	c.miss()
 	return false
 }
 
+// miss counts one failed serve attempt. Called with mu held.
+func (c *Cache) miss() {
+	c.stats.Misses++
+	c.misses.Inc()
+}
+
 // Fits reports whether a range of n payload bytes could ever reside in
-// this cache: within the memory budget, or within the disk budget when
-// a spill directory is configured. Population paths ask before
-// buffering a session's payload, so a cache too small for the object
-// costs nothing.
+// this cache. Population paths ask before buffering a session's
+// payload, so a cache too small for the object costs nothing.
 func (c *Cache) Fits(n int64) bool {
-	if n <= 0 {
-		return false
-	}
-	frames := (n + int64(wire.MaxFramePayload) - 1) / int64(wire.MaxFramePayload)
-	framed := n + frames*int64(wire.FrameHeaderLen)
-	return framed <= c.memCap || (c.dir != "" && framed <= c.diskCap)
+	return n > 0 && n <= c.store.MaxPayload()
 }
 
 // Keys returns the digests held in full — the depot's advertisable
@@ -553,9 +391,7 @@ func (c *Cache) Stats() Stats {
 			s.Complete++
 		}
 	}
-	s.MemBytes = c.memUsed
-	s.DiskBytes = c.diskUsed
-	s.Recovered = c.recovered
-	s.Dropped = c.dropped
+	st := c.store.Stats()
+	s.MemBytes, s.DiskBytes = st.MemBytes, st.DiskBytes
 	return s
 }

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/netlogistics/lsl/internal/obs"
 	"github.com/netlogistics/lsl/internal/wire"
@@ -167,8 +170,8 @@ func TestTamperSurfacesAsChecksumMidRead(t *testing.T) {
 func TestLRUSpillAndEvict(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.NewRegistry()
-	// Memory fits ~2 of the 64 KiB objects (framed), disk ~4.
-	c, err := New(Config{MemoryBytes: 150 << 10, Dir: dir, DiskBytes: 300 << 10, Metrics: reg})
+	// Memory fits 2 of the 64 KiB objects, disk (4x memory) 9.
+	c, err := New(Config{MemoryBytes: 150 << 10, Dir: dir, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +180,7 @@ func TestLRUSpillAndEvict(t *testing.T) {
 		key  wire.ContentDigest
 	}
 	var objs []obj
-	for i := int64(0); i < 8; i++ {
+	for i := int64(0); i < 12; i++ {
 		data, key := object(t, 100+i, 64<<10)
 		objs = append(objs, obj{data, key})
 		if err := c.Put(key, 0, data); err != nil {
@@ -185,7 +188,7 @@ func TestLRUSpillAndEvict(t *testing.T) {
 		}
 	}
 	st := c.Stats()
-	if st.MemBytes > 150<<10 || st.DiskBytes > 300<<10 {
+	if st.MemBytes > 150<<10 || st.DiskBytes > 600<<10 {
 		t.Fatalf("budgets exceeded: %+v", st)
 	}
 	if reg.Counter(MetricEvictions).Value() == 0 {
@@ -244,7 +247,7 @@ func TestRecoverFromDisk(t *testing.T) {
 	var keys []wire.ContentDigest
 	var datas [][]byte
 	{
-		c, err := New(Config{MemoryBytes: 64 << 10, Dir: dir, DiskBytes: 1 << 20})
+		c, err := New(Config{MemoryBytes: 64 << 10, Dir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -260,7 +263,7 @@ func TestRecoverFromDisk(t *testing.T) {
 		}
 	}
 	// A fresh cache over the same directory re-indexes the spilled spans.
-	c, err := New(Config{MemoryBytes: 64 << 10, Dir: dir, DiskBytes: 1 << 20})
+	c, err := New(Config{MemoryBytes: 64 << 10, Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,24 +289,102 @@ func TestRecoverFromDisk(t *testing.T) {
 	}
 }
 
+// TestRecoverEvictsOldestSpill restarts over a directory that holds
+// more than the new, smaller disk budget: the re-index must rebuild
+// recency from the files' modification times and evict the span that
+// spilled first, not whichever file sorts last by name.
+func TestRecoverEvictsOldestSpill(t *testing.T) {
+	dir := t.TempDir()
+	var keys []wire.ContentDigest
+	{
+		// 64 KiB of memory holds one 40 KiB object: each Put spills the
+		// one before, leaving three on disk.
+		c, err := New(Config{MemoryBytes: 64 << 10, Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := int64(0); i < 4; i++ {
+			data, key := object(t, 450+i, 40<<10)
+			keys = append(keys, key)
+			if err := c.Put(key, 0, data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st := c.Stats(); st.DiskBytes != 3*40<<10 {
+			t.Fatalf("setup: disk bytes = %d, want three spilled objects", st.DiskBytes)
+		}
+	}
+	// Age the spills so the first file by name is the oldest: an
+	// index rebuilt in name order would keep it and evict the newest.
+	names := mustReadDir(t, dir)
+	sort.Strings(names)
+	for i, name := range names {
+		at := time.Now().Add(time.Duration(i-len(names)) * time.Hour)
+		if err := os.Chtimes(filepath.Join(dir, name), at, at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	holder := func(name string) wire.ContentDigest {
+		for _, k := range keys {
+			if strings.HasPrefix(name, fmt.Sprintf("%064x", k.Sum)) {
+				return k
+			}
+		}
+		t.Fatalf("no object owns %s", name)
+		return wire.ContentDigest{}
+	}
+
+	// 20 KiB of memory gives an 80 KiB disk tier: two of the three fit.
+	c, err := New(Config{MemoryBytes: 20 << 10, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Recovered != 3 || st.Evictions != 1 || st.DiskBytes != 2*40<<10 {
+		t.Fatalf("after restart: %+v, want 3 recovered, 1 evicted, 2 held", st)
+	}
+	oldest := holder(names[0])
+	if c.Holds(oldest, wire.ByteRange{Len: oldest.Size}) {
+		t.Fatal("re-index over budget kept the oldest spill")
+	}
+	for _, name := range names[1:] {
+		if k := holder(name); !c.Holds(k, wire.ByteRange{Len: k.Size}) {
+			t.Fatalf("re-index over budget evicted the newer spill %s", name)
+		}
+	}
+	if left := mustReadDir(t, dir); len(left) != 2 {
+		t.Fatalf("files after re-index = %v, want the 2 kept spills", left)
+	}
+}
+
+// TestRecoverDropsDamagedAndForeignFiles restarts over a directory
+// holding one spilled span damaged in place, a .tmp leftover, a .b file
+// whose name is no span, and a file of a foreign name: re-index must
+// delete and count the first three, leave the foreign file alone, and
+// never claim the damaged span's range.
 func TestRecoverDropsDamagedAndForeignFiles(t *testing.T) {
 	dir := t.TempDir()
-	data, key := object(t, 400, 56<<10)
+	data, key := object(t, 400, 40<<10)
 	{
-		c, err := New(Config{MemoryBytes: 8 << 10, Dir: dir, DiskBytes: 1 << 20})
+		// 64 KiB of memory holds one 40 KiB object: the second Put
+		// spills the first.
+		c, err := New(Config{MemoryBytes: 64 << 10, Dir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := c.Put(key, 0, data); err != nil {
 			t.Fatal(err)
 		}
+		other, okey := object(t, 401, 40<<10)
+		if err := c.Put(okey, 0, other); err != nil {
+			t.Fatal(err)
+		}
 	}
-	des, err := os.ReadDir(dir)
-	if err != nil || len(des) == 0 {
-		t.Fatalf("no spilled files (%v)", err)
+	names := mustReadDir(t, dir)
+	if len(names) != 1 {
+		t.Fatalf("spilled files = %v, want one", names)
 	}
-	// Damage one spilled file in place, and drop garbage alongside.
-	victim := filepath.Join(dir, des[0].Name())
+	// Damage the spilled span in place, and drop garbage alongside.
+	victim := filepath.Join(dir, names[0])
 	raw, err := os.ReadFile(victim)
 	if err != nil {
 		t.Fatal(err)
@@ -312,45 +393,58 @@ func TestRecoverDropsDamagedAndForeignFiles(t *testing.T) {
 	if err := os.WriteFile(victim, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "not-a-span.c"), []byte("junk"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, strings.Replace(des[0].Name(), spanExt, spanExt+".tmp123", 1)), raw, 0o644); err != nil {
-		t.Fatal(err)
+	for name, body := range map[string][]byte{
+		"not-a-span.c":        []byte("junk"), // foreign: left alone
+		"not-a-span.cb":       raw,            // misnamed span: dropped
+		names[0] + ".123.tmp": raw,            // spill torn before its rename: dropped
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), body, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	c, err := New(Config{MemoryBytes: 8 << 10, Dir: dir, DiskBytes: 1 << 20})
+	c, err := New(Config{MemoryBytes: 64 << 10, Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := c.Stats()
-	if st.Dropped < 2 {
-		t.Fatalf("Dropped = %d, want >= 2 (damaged + misnamed)", st.Dropped)
+	if st := c.Stats(); st.Dropped != 3 || st.Recovered != 0 {
+		t.Fatalf("after restart: %+v, want 3 dropped (damaged, misnamed, tmp) and nothing recovered", st)
 	}
 	if c.Holds(key, wire.ByteRange{Off: 0, Len: key.Size}) {
 		t.Fatal("cache claims a range whose backing file was damaged")
 	}
-	left, _ := os.ReadDir(dir)
-	for _, de := range left {
-		if strings.Contains(de.Name(), ".tmp") {
-			t.Fatalf("tmp leftover survived re-index: %s", de.Name())
-		}
+	if left := mustReadDir(t, dir); len(left) != 1 || left[0] != "not-a-span.c" {
+		t.Fatalf("files after re-index = %v, want only the foreign file", left)
 	}
 }
 
+func mustReadDir(t *testing.T, dir string) []string {
+	t.Helper()
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, de := range des {
+		names = append(names, de.Name())
+	}
+	return names
+}
+
 func TestSpanNameRoundTrip(t *testing.T) {
-	_, key := object(t, 500, 12345)
-	name := spanFileName(key, 100, 999)
-	got, off, length, ok := parseSpanName(name)
-	if !ok || got != key || off != 100 || length != 999 {
-		t.Fatalf("parseSpanName(%q) = %+v %d %d %v", name, got, off, length, ok)
+	_, digest := object(t, 500, 12345)
+	key := spanKey{digest, 100, 999}
+	name := key.String()
+	if got, ok := parseSpanKey(name); !ok || got != key {
+		t.Fatalf("parseSpanKey(%q) = %+v, %v", name, got, ok)
 	}
 	for _, bad := range []string{
-		"", "x.c", name + "x", strings.Replace(name, "-", "_", 1),
-		spanFileName(key, 12345, 1), // off+len > size
+		"", "x", name + "x", strings.Replace(name, "-", "_", 1),
+		spanKey{digest, 12345, 1}.String(), // off+len > size
+		spanKey{digest, 0, 0}.String(),     // empty span
 	} {
-		if _, _, _, ok := parseSpanName(bad); ok && bad != name {
-			t.Errorf("parseSpanName(%q) accepted", bad)
+		if _, ok := parseSpanKey(bad); ok {
+			t.Errorf("parseSpanKey(%q) accepted", bad)
 		}
 	}
 }
@@ -370,10 +464,17 @@ func TestPutRejectsOutOfBounds(t *testing.T) {
 	if err := c.Put(key, 0, nil); err != nil {
 		t.Fatalf("empty put: %v", err)
 	}
+	_, huge := object(t, 601, 2<<20)
+	if err := c.Put(huge, 0, make([]byte, 2<<20)); err == nil || c.Fits(2<<20) {
+		t.Fatal("put beyond the memory budget accepted")
+	}
+	if st := c.Stats(); st.Objects != 0 || st.MemBytes != 0 {
+		t.Fatalf("rejected puts left state behind: %+v", st)
+	}
 }
 
 func TestConcurrentPutOpen(t *testing.T) {
-	c, err := New(Config{MemoryBytes: 4 << 20, Dir: t.TempDir(), DiskBytes: 8 << 20})
+	c, err := New(Config{MemoryBytes: 4 << 20, Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,10 @@
 package cache
 
 import (
-	"bytes"
 	"fmt"
 	"io"
-	"os"
 
+	"github.com/netlogistics/lsl/internal/blobstore"
 	"github.com/netlogistics/lsl/internal/wire"
 )
 
@@ -18,198 +17,117 @@ import (
 // back to the origin for the remainder.
 func (c *Cache) Open(key wire.ContentDigest, r wire.ByteRange) (io.ReadCloser, error) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	e := c.entries[key]
 	if e == nil || r.Len <= 0 || coverFrom(e.spans, r.Off) < r.End() {
-		c.stats.Misses++
-		addCounter(c.misses, 1)
-		c.mu.Unlock()
+		c.miss()
 		return nil, ErrMiss
 	}
-	var parts []spanPart
-	for _, sp := range e.spans {
-		if sp.end() <= r.Off || sp.off >= r.End() {
+	rr := &rangeReader{c: c}
+	for _, k := range e.spans {
+		if k.end() <= r.Off || k.off >= r.End() {
 			continue
 		}
-		skip := int64(0)
-		if r.Off > sp.off {
-			skip = r.Off - sp.off
+		br, err := c.store.Open(k)
+		if err != nil {
+			// A spilled file gone from under the index.
+			rr.Close()
+			c.drop(k)
+			c.miss()
+			return nil, fmt.Errorf("%w: %v", ErrMiss, err)
 		}
-		take := sp.end()
-		if r.End() < take {
-			take = r.End()
-		}
-		parts = append(parts, spanPart{
-			sp:     sp,
-			frames: sp.frames,
-			path:   sp.path,
-			skip:   skip,
-			take:   take - (sp.off + skip),
-		})
-		c.lru.MoveToFront(sp.el)
+		c.store.Touch(k)
+		skip := max(r.Off-k.off, 0)
+		rr.parts = append(rr.parts, spanPart{key: k, r: br, skip: skip, take: min(k.end(), r.End()) - k.off - skip})
 	}
 	c.stats.Hits++
-	addCounter(c.hits, 1)
-	c.mu.Unlock()
-	return &rangeReader{c: c, key: key, parts: parts}, nil
+	c.hits.Inc()
+	return rr, nil
 }
 
 // spanPart is one span's contribution to an open range read, with the
-// backing storage captured at Open time: memory frames stay readable
-// even if the span is evicted mid-read, while a concurrently evicted
-// disk span surfaces as a read error and the caller falls back.
+// blob's bytes captured at Open time, so the read survives the span
+// being spilled or evicted meanwhile.
 type spanPart struct {
-	sp     *span
-	frames []byte
-	path   string
-	skip   int64 // payload bytes to discard at the front
-	take   int64 // payload bytes to yield
+	key  spanKey
+	r    *blobstore.Reader
+	skip int64 // payload bytes to discard at the front
+	take int64 // payload bytes to yield
 }
 
-// rangeReader streams a cached range span by span through the CRC
-// frame verifier.
+// rangeReader streams a cached range span by span.
 type rangeReader struct {
-	c       *Cache
-	key     wire.ContentDigest
-	parts   []spanPart
-	cur     io.Reader
-	curC    io.Closer
-	curPart spanPart
-	rem     int64 // bytes left in the current part
+	c     *Cache
+	parts []spanPart // parts[0] is being read once started
+	rem   int64      // bytes left in parts[0]; 0 before it starts
 }
 
 // Read implements io.Reader.
 func (rr *rangeReader) Read(p []byte) (int, error) {
 	for rr.rem == 0 {
-		if rr.curC != nil {
-			rr.curC.Close()
-			rr.curC = nil
-		}
 		if len(rr.parts) == 0 {
 			return 0, io.EOF
 		}
 		part := rr.parts[0]
-		rr.parts = rr.parts[1:]
-		if err := rr.start(part); err != nil {
-			rr.fail(part)
-			return 0, err
+		if part.skip > 0 {
+			if _, err := io.CopyN(io.Discard, part.r, part.skip); err != nil {
+				return 0, rr.fail(err)
+			}
 		}
-		rr.curPart = part
 		rr.rem = part.take
 	}
-	if int64(len(p)) > rr.rem {
-		p = p[:rr.rem]
-	}
-	n, err := rr.cur.Read(p)
+	n, err := rr.parts[0].r.Read(p[:min(int64(len(p)), rr.rem)])
 	rr.rem -= int64(n)
 	if n > 0 {
 		rr.c.mu.Lock()
 		rr.c.stats.BytesServed += int64(n)
 		rr.c.mu.Unlock()
-		addCounter(rr.c.bytesServed, int64(n))
+		rr.c.bytesServed.Add(int64(n))
 	}
 	if err != nil {
-		if err == io.EOF && rr.rem == 0 {
-			// Clean span boundary; the next Read advances to the next part.
-			return n, nil
-		}
-		// A short or corrupt span: drop it so the cache stops advertising
-		// bytes it cannot prove.
-		rr.fail(rr.curPart)
-		if err == io.EOF {
-			err = fmt.Errorf("%w: cached span shorter than indexed", wire.ErrChecksum)
-		}
-		return n, err
+		return n, rr.fail(err)
+	}
+	if rr.rem == 0 {
+		// Clean span boundary; the next Read starts the next part.
+		rr.parts[0].r.Close()
+		rr.parts = rr.parts[1:]
 	}
 	return n, nil
 }
 
-// start positions a frame reader at the part's first payload byte.
-func (rr *rangeReader) start(part spanPart) error {
-	var src io.Reader
-	switch {
-	case part.frames != nil:
-		src = bytes.NewReader(part.frames)
-	case part.path != "":
-		f, err := os.Open(part.path)
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrMiss, err)
-		}
-		rr.curC = f
-		src = f
-	default:
-		return ErrMiss
-	}
-	fr := wire.NewFrameReader(src)
-	if part.skip > 0 {
-		if _, err := io.CopyN(io.Discard, fr, part.skip); err != nil {
-			return err
-		}
-	}
-	rr.cur = fr
-	return nil
-}
-
-// fail records a failed serve: the offending span (when known) is
-// dropped and the attempt is re-counted as a miss, so hit/miss totals
-// reflect what was actually served.
-func (rr *rangeReader) fail(part spanPart) {
+// fail records a failed serve: the span being read is dropped so the
+// cache stops advertising bytes it cannot prove, and the attempt is
+// re-counted as a miss, so hit/miss totals reflect what was served.
+func (rr *rangeReader) fail(err error) error {
 	rr.c.mu.Lock()
-	if part.sp != nil && part.sp.el != nil {
-		rr.c.evict(part.sp)
-		rr.c.setOccupancy()
-	}
-	rr.c.stats.Misses++
+	rr.c.drop(rr.parts[0].key)
+	rr.c.miss()
 	rr.c.mu.Unlock()
-	addCounter(rr.c.misses, 1)
+	rr.Close()
+	return err
 }
 
-// Close releases any open disk handle.
+// Close releases any disk handles still open.
 func (rr *rangeReader) Close() error {
-	if rr.curC != nil {
-		rr.curC.Close()
-		rr.curC = nil
+	for _, part := range rr.parts {
+		part.r.Close()
 	}
-	rr.parts = nil
-	rr.rem = 0
+	rr.parts, rr.rem = nil, 0
 	return nil
 }
 
-// Tamper flips one payload byte of the cached frame covering off,
-// damaging the stored state the way a decaying disk or memory would.
-// The next read of that span fails its CRC check. Returns false when
+// Tamper flips the cached byte at off the way decaying storage would,
+// so the next read of its span fails its CRC check. Returns false when
 // no cached span covers off. Test and fault-injection hook.
 func (c *Cache) Tamper(key wire.ContentDigest, off int64) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e := c.entries[key]
-	if e == nil {
-		return false
-	}
-	for _, sp := range e.spans {
-		if off < sp.off || off >= sp.end() {
-			continue
-		}
-		rel := off - sp.off
-		frame := rel / wire.MaxFramePayload
-		pos := frame*(wire.FrameHeaderLen+wire.MaxFramePayload) + wire.FrameHeaderLen + rel%wire.MaxFramePayload
-		if sp.frames != nil {
-			if pos >= int64(len(sp.frames)) {
-				return false
+	if e := c.entries[key]; e != nil {
+		for _, k := range e.spans {
+			if off >= k.off && off < k.end() {
+				return c.store.Tamper(k, off-k.off)
 			}
-			sp.frames[pos] ^= 0xFF
-			c.tampered++
-			return true
 		}
-		data, err := os.ReadFile(sp.path)
-		if err != nil || pos >= int64(len(data)) {
-			return false
-		}
-		data[pos] ^= 0xFF
-		if err := os.WriteFile(sp.path, data, 0o644); err != nil {
-			return false
-		}
-		c.tampered++
-		return true
 	}
 	return false
 }

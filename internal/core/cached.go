@@ -77,6 +77,7 @@ func (s *System) TransferCached(srcHost, dstHost string, id wire.SessionID, size
 	// the content digest is the cache key itself.
 	tid := mintTrace()
 	opts := append(traceOpt(tid), integrityOptions(id, size)...)
+	s.digests.open(id)
 	defer s.digests.drop(id)
 	start := time.Now()
 

@@ -73,6 +73,20 @@ type digestTracker struct {
 	m  map[wire.SessionID]*digestState
 }
 
+// open starts the running digest of session id. Transfer initiators
+// open it before the first attempt and drop it on exit; bytes of an id
+// nobody opened — a stray session, or a losing duplicate delivering
+// after its transfer returned — are pattern-verified but not digested,
+// so they cannot re-create state that nothing would drop.
+func (t *digestTracker) open(id wire.SessionID) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.m == nil {
+		t.m = make(map[wire.SessionID]*digestState)
+	}
+	t.m[id] = &digestState{h: sha256.New()}
+}
+
 // absorb folds p — delivered, pattern-verified bytes at absolute object
 // offset off — into the running digest of session id. Overlap with
 // bytes an earlier attempt already digested is skipped (a continuation
@@ -81,15 +95,8 @@ type digestTracker struct {
 func (t *digestTracker) absorb(id wire.SessionID, off int64, p []byte) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.m == nil {
-		t.m = make(map[wire.SessionID]*digestState)
-	}
 	st, ok := t.m[id]
-	if !ok {
-		st = &digestState{h: sha256.New()}
-		t.m[id] = st
-	}
-	if st.broken {
+	if !ok || st.broken {
 		return
 	}
 	if off > st.next {
@@ -117,15 +124,8 @@ func (t *digestTracker) absorb(id wire.SessionID, off int64, p []byte) {
 func (t *digestTracker) absorbOutOfOrder(id wire.SessionID, off int64, p []byte) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.m == nil {
-		t.m = make(map[wire.SessionID]*digestState)
-	}
 	st, ok := t.m[id]
-	if !ok {
-		st = &digestState{h: sha256.New()}
-		t.m[id] = st
-	}
-	if st.broken {
+	if !ok || st.broken {
 		return
 	}
 	if off > st.next {

@@ -194,6 +194,9 @@ func TestIntegrityDigestMismatchSurfacesAtSink(t *testing.T) {
 	}
 	want := depot.PatternDigest(id, size)
 	want.Sum[0] ^= 0xff // a digest no delivery can satisfy
+	// The test is the transfer initiator: it opens the sink's digest.
+	sys.digests.open(id)
+	defer sys.digests.drop(id)
 
 	sess, err := lsl.OpenAtID(sys.dialerFor(si), id, sys.Endpoint(si), sys.Endpoint(di), nil, 0,
 		wire.ChunkChecksumOption(), wire.ContentDigestOption(want))
@@ -241,6 +244,7 @@ func TestDigestTrackerStitchesAttempts(t *testing.T) {
 
 	t.Run("overlap skipped", func(t *testing.T) {
 		var tr digestTracker
+		tr.open(id)
 		// Attempt 1 delivers a prefix; the continuation re-sends a
 		// chunk straddling the boundary.
 		tr.absorb(id, 0, payload[:1000])
@@ -252,6 +256,7 @@ func TestDigestTrackerStitchesAttempts(t *testing.T) {
 	})
 	t.Run("mismatch detected", func(t *testing.T) {
 		var tr digestTracker
+		tr.open(id)
 		mangled := append([]byte(nil), payload...)
 		mangled[42] ^= 1
 		tr.absorb(id, 0, mangled)
@@ -262,6 +267,7 @@ func TestDigestTrackerStitchesAttempts(t *testing.T) {
 	})
 	t.Run("partial awaits continuation", func(t *testing.T) {
 		var tr digestTracker
+		tr.open(id)
 		tr.absorb(id, 0, payload[:100])
 		if done, err := tr.finalize(id, want); done || err != nil {
 			t.Fatalf("done=%v err=%v on a partial delivery", done, err)
@@ -274,10 +280,34 @@ func TestDigestTrackerStitchesAttempts(t *testing.T) {
 	})
 	t.Run("gap degrades to unchecked", func(t *testing.T) {
 		var tr digestTracker
+		tr.open(id)
 		tr.absorb(id, 0, payload[:100])
 		tr.absorb(id, 200, payload[200:]) // hole at [100, 200)
 		if done, err := tr.finalize(id, want); done || err != nil {
 			t.Fatalf("done=%v err=%v, want a poisoned state to stay silent", done, err)
 		}
 	})
+}
+
+// TestDigestIgnoresUnopenedIDs: bytes for an id whose transfer already
+// dropped its digest — a losing duplicate delivering late — or that no
+// transfer opened must not create state nothing would drop.
+func TestDigestIgnoresUnopenedIDs(t *testing.T) {
+	var tr digestTracker
+	id := wire.SessionID{1}
+	tr.open(id)
+	tr.absorb(id, 0, []byte("first"))
+	tr.drop(id)
+	tr.absorb(id, 5, []byte("late duplicate"))
+	tr.absorbOutOfOrder(id, 100, []byte("late stolen range"))
+	tr.absorb(wire.SessionID{2}, 0, []byte("stray"))
+	tr.absorbOutOfOrder(wire.SessionID{3}, 0, []byte("stray"))
+	if done, err := tr.finalize(wire.SessionID{2}, wire.ContentDigest{Size: 5}); done || err != nil {
+		t.Fatalf("finalize of an unopened id = (%v, %v), want (false, nil)", done, err)
+	}
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	if len(tr.m) != 0 {
+		t.Fatalf("%d digest states left after drop and stray deliveries", len(tr.m))
+	}
 }

@@ -113,6 +113,7 @@ func (s *System) TransferMultipath(srcHost, dstHost string, size int64, k int, p
 		// regenerating and hashing the full pattern, so do it once here
 		// instead of once per range session.
 		opts = append(opts, integrityOptions(id, size)...)
+		s.digests.open(id)
 		defer s.digests.drop(id)
 	}
 	count := len(paths)

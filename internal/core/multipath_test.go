@@ -200,6 +200,7 @@ func TestDigestAbsorbOutOfOrder(t *testing.T) {
 	// Segments delivered out of object order, with an overlap (a stolen
 	// range delivered twice), must still stitch to the sender's digest.
 	tr := &digestTracker{}
+	tr.open(id)
 	tr.absorbOutOfOrder(id, 600, payload[600:])
 	tr.absorbOutOfOrder(id, 250, payload[250:600])
 	tr.absorbOutOfOrder(id, 0, payload[:250])
@@ -211,6 +212,7 @@ func TestDigestAbsorbOutOfOrder(t *testing.T) {
 
 	// An out-of-order mismatch is a true mismatch, not a false pass.
 	tr = &digestTracker{}
+	tr.open(id)
 	bad := append([]byte(nil), payload...)
 	bad[700] ^= 1
 	tr.absorbOutOfOrder(id, 500, bad[500:])
@@ -223,6 +225,7 @@ func TestDigestAbsorbOutOfOrder(t *testing.T) {
 	// Outrunning the pending cap degrades to unchecked (broken), never
 	// a false mismatch.
 	tr = &digestTracker{}
+	tr.open(id)
 	huge := make([]byte, 1<<20)
 	for off := int64(1); off <= maxDigestPending+1; off += int64(len(huge)) {
 		tr.absorbOutOfOrder(id, off, huge)

@@ -101,6 +101,7 @@ func (s *System) TransferReliable(srcHost, dstHost string, size int64, pol Recov
 			return TransferResult{}, err
 		}
 		opts = append(opts, integrityOptions(id, size)...)
+		s.digests.open(id)
 		defer s.digests.drop(id)
 	}
 	rt := &route{path: path}

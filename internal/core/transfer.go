@@ -201,6 +201,7 @@ func (s *System) transferAlong(path []int, size int64, extra ...wire.Option) (Tr
 			s.observeTransfer(TransferResult{}, err)
 			return TransferResult{}, err
 		}
+		s.digests.open(id)
 		defer s.digests.drop(id)
 		opts = append(opts, integrityOptions(id, size)...)
 	}

@@ -3,8 +3,8 @@ package depot
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/hex"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -316,7 +316,7 @@ func TestCacheTapOversizedObjectSkipped(t *testing.T) {
 }
 
 // TestSpoolReindexDropCounting (satellite): a restart over a spool
-// directory holding a torn .tmp write and a damaged .p file must count
+// directory holding a torn .tmp write and a damaged .b file must count
 // both drops, expose them via the metric, and log one summary line.
 func TestSpoolReindexDropCounting(t *testing.T) {
 	dir := t.TempDir()
@@ -328,12 +328,12 @@ func TestSpoolReindexDropCounting(t *testing.T) {
 		t.Fatalf("setup: spilled = %d, want 1", spilled)
 	}
 	// A torn write and a damaged payload alongside the good file.
-	if err := os.WriteFile(filepath.Join(dir, "torn.p.tmp"), []byte("partial"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "torn.sb.123.tmp"), []byte("partial"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	bogus := sha256.Sum256([]byte("what the name claims"))
-	damagedName := hex.EncodeToString(bogus[:]) + "." + wire.SessionID{9}.String() + ".p"
-	if err := os.WriteFile(filepath.Join(dir, damagedName), []byte("not those bytes"), 0o644); err != nil {
+	damaged := wire.AppendFrames(nil, []byte("what the name claims"))
+	damaged[len(damaged)-1] ^= 0xFF
+	if err := os.WriteFile(filepath.Join(dir, spoolName(wire.SessionID{9}, 20)), damaged, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -348,7 +348,7 @@ func TestSpoolReindexDropCounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := srv.store.spoolReindexDropped(); got != 2 {
+	if got := srv.store.reindexDropped; got != 2 {
 		t.Fatalf("reindex dropped = %d, want 2", got)
 	}
 	if got := reg.Counter(MetricSpoolReindexDropped).Value(); got != 2 {
@@ -379,13 +379,9 @@ func TestSpoolReindexUnderFullSpool(t *testing.T) {
 	}
 	// Age the older file so recovery's oldest-first ordering is stable
 	// regardless of filesystem timestamp granularity.
-	for _, de := range mustReadDir(t, dir) {
-		if _, id, ok := parseSpoolName(de.Name()); ok && id == older {
-			past := time.Now().Add(-time.Hour)
-			if err := os.Chtimes(filepath.Join(dir, de.Name()), past, past); err != nil {
-				t.Fatal(err)
-			}
-		}
+	past := time.Now().Add(-time.Hour)
+	if err := os.Chtimes(filepath.Join(dir, spoolName(older, 7)), past, past); err != nil {
+		t.Fatal(err)
 	}
 
 	// Restart with a spool budget that fits only one payload.
@@ -399,35 +395,30 @@ func TestSpoolReindexUnderFullSpool(t *testing.T) {
 	if diskBytes, _, recovered, _ := s2.spoolUsage(); diskBytes > 10 || recovered != 2 {
 		t.Fatalf("after re-index: disk bytes = %d (budget 10), recovered = %d", diskBytes, recovered)
 	}
-	remaining := 0
-	for _, de := range mustReadDir(t, dir) {
-		if _, _, ok := parseSpoolName(de.Name()); ok {
-			remaining++
-		}
-	}
-	if remaining != 1 {
-		t.Fatalf("spool files after re-index eviction = %d, want 1", remaining)
+	if left := mustReadDir(t, dir); len(left) != 1 || left[0].Name() != spoolName(newer, 7) {
+		t.Fatalf("spool files after re-index eviction = %v, want only newer's", left)
 	}
 }
 
 // TestSpoolReindexDamagedBesideValidSameDigest (satellite): a damaged
-// .p file whose name carries the same digest as a valid file (distinct
-// session ids) must be dropped while the valid one is re-indexed.
+// .b file whose name carries the same payload length as a valid file
+// (distinct session ids) must be dropped while the valid one is
+// re-indexed.
 func TestSpoolReindexDamagedBesideValidSameDigest(t *testing.T) {
 	dir := t.TempDir()
 	payload := []byte("shared-digest-payload")
-	sum := sha256.Sum256(payload)
-	validName := hex.EncodeToString(sum[:]) + "." + wire.SessionID{1}.String() + ".p"
-	damagedName := hex.EncodeToString(sum[:]) + "." + wire.SessionID{2}.String() + ".p"
-	if err := os.WriteFile(filepath.Join(dir, validName), payload, 0o644); err != nil {
+	valid := wire.AppendFrames(nil, payload)
+	damaged := bytes.Clone(valid)
+	damaged[wire.FrameHeaderLen] ^= 0xFF
+	if err := os.WriteFile(filepath.Join(dir, spoolName(wire.SessionID{1}, len(payload))), valid, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, damagedName), []byte("corrupted body!!!"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, spoolName(wire.SessionID{2}, len(payload))), damaged, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	s := spoolStore(t, 64, 1<<20, dir)
-	if got := s.spoolReindexDropped(); got != 1 {
+	if got := s.reindexDropped; got != 1 {
 		t.Fatalf("reindex dropped = %d, want 1", got)
 	}
 	if data, ok := s.get(wire.SessionID{1}); !ok || !bytes.Equal(data, payload) {
@@ -436,6 +427,11 @@ func TestSpoolReindexDamagedBesideValidSameDigest(t *testing.T) {
 	if _, ok := s.get(wire.SessionID{2}); ok {
 		t.Fatal("damaged same-digest payload resurrected")
 	}
+}
+
+// spoolName is the file a spilled session payload of n bytes lives in.
+func spoolName(id wire.SessionID, n int) string {
+	return fmt.Sprintf("%s-%x.sb", id, n)
 }
 
 func mustReadDir(t *testing.T, dir string) []os.DirEntry {

@@ -88,10 +88,10 @@ type Config struct {
 	// DefaultStoreBytes).
 	StoreBytes int64
 	// SpoolDir, when non-empty, gives the store a durable disk tier: a
-	// content-addressed spool directory that payloads spill to when the
+	// spool directory that CRC-framed payloads spill to when the
 	// in-memory budget overflows, and that a restarted depot re-indexes
-	// so stored sessions survive a crash (torn writes are detected by
-	// the digest in the file name and dropped).
+	// so stored sessions survive a crash (torn or damaged files are
+	// detected by their frame checksums and length and dropped).
 	SpoolDir string
 	// SpoolBytes bounds the spool directory (0 selects
 	// DefaultSpoolBytes). Ignored without SpoolDir.
@@ -275,7 +275,7 @@ const (
 	MetricChecksumErrors    = "depot_checksum_errors_total"
 	// MetricSpoolReindexDropped counts spool files crash recovery
 	// deleted instead of re-indexing (interrupted .tmp writes, damaged
-	// or torn .p payloads). Set once at startup; a non-zero value after
+	// or torn .b payloads). Set once at startup; a non-zero value after
 	// a restart means durable state was lost between runs.
 	MetricSpoolReindexDropped = "depot_spool_reindex_dropped_total"
 )
@@ -357,7 +357,7 @@ func New(cfg Config) (*Server, error) {
 		store: store,
 		met:   newMetrics(cfg.Metrics),
 	}
-	if dropped := store.spoolReindexDropped(); dropped > 0 {
+	if dropped := store.reindexDropped; dropped > 0 {
 		srv.met.reindexDrops.Add(dropped)
 		srv.logf("depot %s: spool re-index dropped %d unrecoverable file(s) from %s",
 			cfg.Self, dropped, cfg.SpoolDir)

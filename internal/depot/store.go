@@ -2,12 +2,13 @@ package depot
 
 import (
 	"bytes"
-	"container/list"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
 	"sync"
 
+	"github.com/netlogistics/lsl/internal/blobstore"
 	"github.com/netlogistics/lsl/internal/lsl"
 	"github.com/netlogistics/lsl/internal/obs"
 	"github.com/netlogistics/lsl/internal/wire"
@@ -16,41 +17,28 @@ import (
 // DefaultStoreBytes bounds a depot's asynchronous-session storage.
 const DefaultStoreBytes = 256 << 20
 
-// storeEntry is one stored payload, resident in exactly one tier:
-// data is non-nil while it sits in memory, path is non-empty once it
-// has been spilled to the disk spool.
-type storeEntry struct {
-	id   wire.SessionID
-	size int64
-	data []byte
-	path string
-}
+// DefaultSpoolBytes bounds the disk spool when Config.SpoolBytes is
+// zero.
+const DefaultSpoolBytes = 1 << 30
+
+// spoolExt suffixes spooled payload files: <session id>-<length hex>.sb.
+// It differs from the cache's, so both may share one directory.
+const spoolExt = ".sb"
 
 // sessionStore holds stored payloads keyed by session id — the
 // short-term, cooperative storage of user data the paper's
-// introduction proposes. Entries live on one recency list (front =
-// most recently used) spanning both tiers: when the memory budget
-// overflows, the least-recently-used in-memory payload spills to the
-// disk spool (or is evicted when no spool is configured); when the
-// spool budget overflows, the least-recently-used on-disk payload is
-// evicted for good.
+// introduction proposes. Each payload is one CRC-framed blob in a
+// blobstore: memory up to the store budget, then the optional spool
+// directory up to its own budget, one recency order across both.
 type sessionStore struct {
-	mu        sync.Mutex
-	capacity  int64 // memory budget
-	spoolCap  int64 // disk budget (0 without a spool)
-	sp        *spool
-	memUsed   int64
-	diskUsed  int64
-	entries   map[wire.SessionID]*list.Element // of *storeEntry
-	lru       *list.List
-	evicted   int64
-	spilled   int64
-	recovered int64
-	restored  int64
-	// reindexDropped counts spool files crash recovery deleted instead
-	// of re-indexing: interrupted .tmp writes plus .p files whose bytes
-	// no longer matched the digest in their name.
-	reindexDropped int64
+	mu       sync.Mutex
+	blobs    *blobstore.Store[wire.SessionID]
+	capacity int64 // memory budget, and the largest payload a store session may send
+	evicted  int64
+	// Crash recovery's report, set before the store is shared: entries
+	// re-indexed, and spool files deleted instead (.tmp leftovers,
+	// damaged .sb files).
+	recovered, reindexDropped int64
 }
 
 // newSessionStore builds the store; with a spool directory it also
@@ -59,150 +47,65 @@ func newSessionStore(capacity int64, spoolDir string, spoolBytes int64) (*sessio
 	if capacity <= 0 {
 		capacity = DefaultStoreBytes
 	}
-	s := &sessionStore{
-		capacity: capacity,
-		entries:  make(map[wire.SessionID]*list.Element),
-		lru:      list.New(),
+	if spoolBytes <= 0 {
+		spoolBytes = DefaultSpoolBytes
 	}
-	if spoolDir != "" {
-		sp, err := newSpool(spoolDir)
-		if err != nil {
-			return nil, err
-		}
-		s.sp = sp
-		s.spoolCap = spoolBytes
-		if s.spoolCap <= 0 {
-			s.spoolCap = DefaultSpoolBytes
-		}
-		found, dropped, err := sp.recover()
-		if err != nil {
-			return nil, err
-		}
-		s.reindexDropped = dropped
-		// recover returns oldest-modified first; pushing each to the
-		// front leaves the newest payload most-recently-used.
-		for _, e := range found {
-			ent := &storeEntry{id: e.id, size: e.size, path: e.path}
-			s.entries[e.id] = s.lru.PushFront(ent)
-			s.diskUsed += e.size
-			s.recovered++
-		}
-		s.rebalance()
-	}
-	return s, nil
-}
-
-// errTooLarge rejects single payloads beyond the in-memory budget.
-var errTooLarge = errors.New("depot: payload exceeds store capacity")
-
-// put stores data under id, spilling and evicting least-recently-used
-// entries as needed. Storing under an existing id replaces the
-// previous payload.
-func (s *sessionStore) put(id wire.SessionID, data []byte) error {
-	if int64(len(data)) > s.capacity {
-		return errTooLarge
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.entries[id]; ok {
-		s.drop(el)
-	}
-	ent := &storeEntry{id: id, size: int64(len(data)), data: data}
-	s.entries[id] = s.lru.PushFront(ent)
-	s.memUsed += ent.size
-	s.rebalance()
-	return nil
-}
-
-// rebalance restores both byte budgets, called with the lock held.
-// Memory overflow spills (or, with no spool, evicts) the coldest
-// in-memory entry; spool overflow evicts the coldest on-disk entry.
-func (s *sessionStore) rebalance() {
-	for s.memUsed > s.capacity {
-		el := s.coldest(func(e *storeEntry) bool { return e.data != nil })
-		if el == nil {
-			break
-		}
-		ent := el.Value.(*storeEntry)
-		if s.sp != nil {
-			if path, err := s.sp.write(ent.id, ent.data); err == nil {
-				ent.path = path
-				ent.data = nil
-				s.memUsed -= ent.size
-				s.diskUsed += ent.size
-				s.spilled++
-				continue
-			}
-		}
-		s.drop(el)
-		s.evicted++
-	}
-	for s.sp != nil && s.diskUsed > s.spoolCap {
-		el := s.coldest(func(e *storeEntry) bool { return e.path != "" })
-		if el == nil {
-			break
-		}
-		s.drop(el)
-		s.evicted++
-	}
-}
-
-// coldest walks the recency list from its least-recently-used end and
-// returns the first element matching the tier predicate.
-func (s *sessionStore) coldest(match func(*storeEntry) bool) *list.Element {
-	for el := s.lru.Back(); el != nil; el = el.Prev() {
-		if match(el.Value.(*storeEntry)) {
-			return el
-		}
-	}
-	return nil
-}
-
-// drop removes an entry from the map, the recency list, its byte
-// accounting, and (for an on-disk entry) the spool directory.
-func (s *sessionStore) drop(el *list.Element) {
-	ent := el.Value.(*storeEntry)
-	s.lru.Remove(el)
-	delete(s.entries, ent.id)
-	if ent.data != nil {
-		s.memUsed -= ent.size
-	} else {
-		s.diskUsed -= ent.size
-		s.sp.remove(ent.path)
-	}
-}
-
-// get returns the stored payload (without removing it), promoting the
-// entry to most-recently-used. A spooled payload is read back from
-// disk and verified against the digest in its file name; one damaged
-// at rest is dropped and reported as a miss rather than served wrong.
-func (s *sessionStore) get(id wire.SessionID) ([]byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.entries[id]
-	if !ok {
-		return nil, false
-	}
-	ent := el.Value.(*storeEntry)
-	if ent.data != nil {
-		s.lru.MoveToFront(el)
-		return ent.data, true
-	}
-	data, err := s.sp.read(ent.path)
+	blobs, rec, err := blobstore.New(spoolDir, spoolExt, capacity, spoolBytes, parseSessionID)
 	if err != nil {
-		s.drop(el)
-		return nil, false
+		return nil, fmt.Errorf("depot: spool: %w", err)
 	}
-	s.restored++
-	s.lru.MoveToFront(el)
-	return data, true
+	return &sessionStore{blobs: blobs, capacity: capacity, evicted: int64(rec.Evicted),
+		recovered: int64(len(rec.Keys) + rec.Evicted), reindexDropped: int64(rec.Dropped)}, nil
+}
+
+// parseSessionID inverts wire.SessionID.String for the spool's file
+// names.
+func parseSessionID(s string) (id wire.SessionID, ok bool) {
+	if len(s) != hex.EncodedLen(len(id)) {
+		return id, false
+	}
+	_, err := hex.Decode(id[:], []byte(s))
+	return id, err == nil
+}
+
+// putFrames stores a CRC-framed payload under id, replacing any
+// earlier one, and returns its payload length.
+func (s *sessionStore) putFrames(id wire.SessionID, frames []byte) (int64, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	evicted, err := s.blobs.Put(id, frames)
+	s.evicted += int64(len(evicted))
+	n, _ := s.blobs.Len(id)
+	return n, err
+}
+
+// open returns a reader over id's payload, verified whole, and makes it
+// the most recently used. A payload that fails verification (the error
+// wraps wire.ErrChecksum), or a spilled file gone from under the
+// index, is dropped. Verification runs outside the lock.
+func (s *sessionStore) open(id wire.SessionID) (*blobstore.Reader, error) {
+	s.mu.Lock()
+	s.blobs.Touch(id)
+	r, err := s.blobs.Open(id)
+	s.mu.Unlock()
+	if err == nil {
+		if err = r.Verify(); err == nil {
+			return r, nil
+		}
+		r.Close()
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.blobs.Remove(id)
+	return nil, err
 }
 
 // usage reports (bytes held across both tiers, entry count, evictions).
 func (s *sessionStore) usage() (int64, int, int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.memUsed + s.diskUsed, len(s.entries), s.evicted
+	st := s.blobs.Stats()
+	return st.MemBytes + st.DiskBytes, st.Blobs, s.evicted
 }
 
 // spoolUsage reports the disk tier: bytes on disk, entries spilled so
@@ -210,13 +113,9 @@ func (s *sessionStore) usage() (int64, int, int64) {
 func (s *sessionStore) spoolUsage() (bytes int64, spilled, recovered, restored int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.diskUsed, s.spilled, s.recovered, s.restored
+	st := s.blobs.Stats()
+	return st.DiskBytes, st.Spilled, s.recovered, st.DiskOpens
 }
-
-// spoolReindexDropped reports how many spool files crash recovery
-// deleted rather than re-indexed. Set once at construction, before the
-// store is shared, so no lock is needed.
-func (s *sessionStore) spoolReindexDropped() int64 { return s.reindexDropped }
 
 // handleStore implements the storing half of asynchronous sessions: a
 // TypeStore session addressed to this depot is absorbed into the store;
@@ -248,24 +147,31 @@ func (s *Server) handleStore(sess *lsl.Session, f *flow) error {
 	}
 
 	defer s.track(f, sess.Header, "store", wire.Endpoint{})()
-	// The storing depot is the payload's terminus: a checksummed stream
-	// is verified and unframed here, so the store holds raw bytes.
-	var src io.Reader = sess
-	if sess.Header.Checksummed() {
-		src = wire.NewFrameReader(sess)
-	}
+	// The storing depot is the payload's terminus. A checksummed stream
+	// is kept as the frames it arrived in, each verified on the way in;
+	// a plain one is framed here, once. The stream is buffered whole, so
+	// the memory budget bounds it (framed, for a checksummed one).
+	limit := s.store.capacity
 	var buf bytes.Buffer
-	limited := io.LimitReader(src, s.store.capacity+1)
-	n, err := io.Copy(&buf, limited)
+	var n int64
+	if sess.Header.Checksummed() {
+		n, err = io.Copy(&buf, io.LimitReader(wire.NewVerifyingReader(sess), limit+1))
+	} else {
+		n, err = io.Copy(wire.NewFrameWriter(&buf), io.LimitReader(sess, limit+1))
+	}
 	f.addBytes(n)
-	if err != nil && !errors.Is(err, io.EOF) {
+	if err != nil {
 		return s.flagCorrupt(sess, f, fmt.Errorf("store read: %w", err))
 	}
-	if err := s.store.put(sess.ID(), buf.Bytes()); err != nil {
+	if n > limit {
+		return blobstore.ErrTooLarge
+	}
+	payload, err := s.store.putFrames(sess.ID(), buf.Bytes())
+	if err != nil {
 		return err
 	}
 	s.st.stored.Add(1)
-	s.st.bytesStored.Add(n)
+	s.st.bytesStored.Add(payload)
 	return nil
 }
 
@@ -282,13 +188,21 @@ func (s *Server) handleFetch(sess *lsl.Session) error {
 	if err != nil {
 		return err
 	}
-	data, ok := s.store.get(id)
-	if !ok {
-		// Unknown id: answer with a refusal so the receiver can
-		// distinguish "not here" from a transport failure.
+	// A fetch response carries no length, so a payload cut short at
+	// damage would read as a shorter one: open verifies it whole first.
+	payload, err := s.store.open(id)
+	if err != nil {
+		// Unknown or damaged id: answer with a refusal so the receiver
+		// can distinguish "not here" from a transport failure.
 		s.st.fetchMisses.Add(1)
+		if errors.Is(err, wire.ErrChecksum) {
+			s.st.checksumErrors.Add(1)
+			s.met.checksumErrs.Inc()
+			s.logf("depot %s: stored session %s: %v", s.cfg.Self, id, err)
+		}
 		return lsl.Refuse(sess.Conn, sess.Header)
 	}
+	defer payload.Close()
 	resp := &wire.Header{
 		Version: wire.Version1,
 		Type:    wire.TypeData,
@@ -299,12 +213,12 @@ func (s *Server) handleFetch(sess *lsl.Session) error {
 	if err := wire.WriteHeader(sess.Conn, resp); err != nil {
 		return err
 	}
-	n, werr := sess.Conn.Write(data)
-	// Bytes that made it onto the wire are counted even when the write
+	n, err := io.Copy(sess.Conn, payload)
+	// Bytes that made it onto the wire are counted even when the copy
 	// fails partway — partial transfers must not vanish from the stats.
-	s.st.bytesFetched.Add(int64(n))
-	if werr != nil {
-		return fmt.Errorf("fetch write: %w", werr)
+	s.st.bytesFetched.Add(n)
+	if err != nil {
+		return fmt.Errorf("fetch: %w", err)
 	}
 	s.st.fetched.Add(1)
 	return nil
@@ -326,6 +240,7 @@ func (s *Server) SpoolUsage() (bytes int64, spilled, recovered, restored int64) 
 // StoredSession reports whether the store holds the given session and
 // how many bytes it has.
 func (s *Server) StoredSession(id wire.SessionID) (int64, bool) {
-	data, ok := s.store.get(id)
-	return int64(len(data)), ok
+	s.store.mu.Lock()
+	defer s.store.mu.Unlock()
+	return s.store.blobs.Len(id)
 }

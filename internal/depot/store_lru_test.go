@@ -2,15 +2,37 @@ package depot
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
+	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
+	"github.com/netlogistics/lsl/internal/blobstore"
+	"github.com/netlogistics/lsl/internal/cache"
 	"github.com/netlogistics/lsl/internal/wire"
 )
+
+// errTooLarge is what the store answers a payload beyond its budgets.
+var errTooLarge = blobstore.ErrTooLarge
+
+// put frames a plain payload and stores it, as handleStore does for a
+// plain stream.
+func (s *sessionStore) put(id wire.SessionID, payload []byte) error {
+	_, err := s.putFrames(id, wire.AppendFrames(nil, payload))
+	return err
+}
+
+// get opens a stored payload as handleFetch does — verified whole, a
+// damaged one dropped and reported missing — and reads it back.
+func (s *sessionStore) get(id wire.SessionID) ([]byte, bool) {
+	r, err := s.open(id)
+	if err != nil {
+		return nil, false
+	}
+	defer r.Close()
+	data, err := io.ReadAll(r)
+	return data, err == nil
+}
 
 // memStore builds a memory-only session store for unit tests.
 func memStore(t *testing.T, capacity int64) *sessionStore {
@@ -146,20 +168,23 @@ func TestSpoolCrashRecovery(t *testing.T) {
 }
 
 // TestSpoolRecoveryDropsTornWrites plants a half-written .tmp file and
-// a finished file whose bytes no longer match the digest in its name;
-// recovery must delete both and index neither.
+// a finished file whose frames no longer verify; recovery must delete
+// both, count them, and index neither.
 func TestSpoolRecoveryDropsTornWrites(t *testing.T) {
 	dir := t.TempDir()
-	// A torn in-flight write.
-	tmpName := strings.Repeat("0", 64) + "." + strings.Repeat("0", 32) + ".p.tmp"
+	// A torn in-flight write: the spill crashed before its rename.
+	torn := wire.SessionID{8}
+	tmpName := torn.String() + "-4.sb.123.tmp"
 	if err := os.WriteFile(filepath.Join(dir, tmpName), []byte("half"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// A completed file damaged at rest: valid name shape, wrong digest.
+	// A completed file damaged at rest: valid name, a flipped payload
+	// bit under an intact frame header.
 	id := wire.SessionID{7}
-	sum := sha256.Sum256([]byte("original"))
-	badName := hex.EncodeToString(sum[:]) + "." + id.String() + ".p"
-	if err := os.WriteFile(filepath.Join(dir, badName), []byte("tampered"), 0o644); err != nil {
+	frames := wire.AppendFrames(nil, []byte("original"))
+	frames[wire.FrameHeaderLen+3] ^= 0x10
+	badName := id.String() + "-8.sb"
+	if err := os.WriteFile(filepath.Join(dir, badName), frames, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -167,8 +192,14 @@ func TestSpoolRecoveryDropsTornWrites(t *testing.T) {
 	if _, _, recovered, _ := s.spoolUsage(); recovered != 0 {
 		t.Fatalf("recovered %d torn entries", recovered)
 	}
+	if dropped := s.reindexDropped; dropped != 2 {
+		t.Fatalf("re-index dropped %d files, want 2 (tmp + damaged)", dropped)
+	}
 	if _, ok := s.get(id); ok {
 		t.Fatal("damaged payload served after recovery")
+	}
+	if _, ok := s.get(torn); ok {
+		t.Fatal("torn write served after recovery")
 	}
 	des, err := os.ReadDir(dir)
 	if err != nil {
@@ -180,7 +211,7 @@ func TestSpoolRecoveryDropsTornWrites(t *testing.T) {
 }
 
 // TestSpoolDamagedAtRestIsMiss corrupts a spooled payload in place; a
-// read must report a miss, never wrong bytes.
+// read must report a miss, never wrong bytes, and drop the entry.
 func TestSpoolDamagedAtRestIsMiss(t *testing.T) {
 	dir := t.TempDir()
 	s := spoolStore(t, 4, 1<<20, dir)
@@ -193,7 +224,12 @@ func TestSpoolDamagedAtRestIsMiss(t *testing.T) {
 		t.Fatalf("spool dir entries = %v (%v)", des, err)
 	}
 	path := filepath.Join(dir, des[0].Name())
-	if err := os.WriteFile(path, []byte("XXaa"), 0o644); err != nil {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[wire.FrameHeaderLen] = 'X' // "aaaa" becomes "Xaaa" under the old CRC
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if data, ok := s.get(a); ok {
@@ -216,5 +252,49 @@ func TestSpoolRoundTripLargePayload(t *testing.T) {
 	got, ok := s.get(a)
 	if !ok || !bytes.Equal(got, payload) {
 		t.Fatalf("spill round-trip lost data (ok=%v, %d bytes)", ok, len(got))
+	}
+}
+
+// TestSpoolAndCacheShareDirectory: the spool and the content cache may
+// spill into one directory. After a restart each re-indexes its own
+// files, deletes none of the other's, and serves what it spilled.
+func TestSpoolAndCacheShareDirectory(t *testing.T) {
+	dir := t.TempDir()
+	newCache := func() *cache.Cache {
+		c, err := cache.New(cache.Config{MemoryBytes: 4, Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	obj := []byte("cached")
+	key := digestOf(obj)
+	c := newCache()
+	c.Put(key, 0, obj[:3])
+	c.Put(key, 3, obj[3:]) // spills the first span
+	s := spoolStore(t, 4, 1<<20, dir)
+	a := wire.SessionID{1}
+	s.put(a, []byte("aaaa"))
+	s.put(wire.SessionID{2}, []byte("bbbb")) // spills a
+
+	s = spoolStore(t, 4, 1<<20, dir)
+	c = newCache()
+	if dropped := s.reindexDropped; dropped != 0 {
+		t.Fatalf("spool re-index dropped %d files", dropped)
+	}
+	if st := c.Stats(); st.Dropped != 0 || st.Recovered != 1 {
+		t.Fatalf("cache re-index = %+v, want 1 span recovered, none dropped", st)
+	}
+	if data, ok := s.get(a); !ok || string(data) != "aaaa" {
+		t.Fatalf("spooled payload after restart = %q, %v", data, ok)
+	}
+	r, err := c.Open(key, wire.ByteRange{Off: 0, Len: 3})
+	if err != nil {
+		t.Fatalf("cached span after restart: %v", err)
+	}
+	got, err := io.ReadAll(r)
+	r.Close()
+	if err != nil || string(got) != "cac" {
+		t.Fatalf("cached span after restart = %q, %v", got, err)
 	}
 }

@@ -120,6 +120,79 @@ func TestAsyncStoreAndFetch(t *testing.T) {
 	}
 }
 
+// storeAt stores payload at depot epB directly and waits until the
+// depot holds want sessions.
+func storeAt(t *testing.T, h *harness, payload []byte, want int64) wire.SessionID {
+	t.Helper()
+	sess, err := lsl.OpenStore(h.dialerFrom("10.0.0.1"), epA, epB, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess.Write(payload)
+	sess.Close()
+	waitFor(t, func() bool { return h.servers[epB].Stats().Stored == want })
+	return sess.ID()
+}
+
+// TestFetchDamagedPayloadIsDropped: a stored payload damaged at rest,
+// in memory or spilled to disk, is refused before any byte is sent — a
+// fetch response cannot signal a short payload — counted as a checksum
+// error and dropped, so every later fetch is a clean refusal too.
+func TestFetchDamagedPayloadIsDropped(t *testing.T) {
+	payload := bytes.Repeat([]byte("rot at rest "), 20_000)
+	for _, spilled := range []bool{false, true} {
+		h := newHarness(t)
+		cfg := Config{}
+		if spilled {
+			cfg = Config{StoreBytes: int64(len(payload)), SpoolDir: t.TempDir()}
+		}
+		srv := h.addDepot(epB, cfg)
+		id := storeAt(t, h, payload, 1)
+		if spilled {
+			storeAt(t, h, payload[:1000], 2) // spills the first payload
+			if _, n, _, _ := srv.SpoolUsage(); n != 1 {
+				t.Fatalf("spilled %d payloads, want 1", n)
+			}
+		}
+		srv.store.mu.Lock()
+		tampered := srv.store.blobs.Tamper(id, 150_000)
+		srv.store.mu.Unlock()
+		if !tampered {
+			t.Fatal("Tamper found no stored byte")
+		}
+
+		for i := range 2 {
+			if _, err := lsl.Fetch(h.dialerFrom("10.0.0.4"), epD, epB, id); !errors.Is(err, lsl.ErrRefused) {
+				t.Fatalf("spilled=%v: fetch %d of a damaged payload: err = %v, want ErrRefused", spilled, i, err)
+			}
+		}
+		st := srv.Stats()
+		if st.ChecksumErrors != 1 || st.FetchMisses != 2 || st.Fetched != 0 || st.BytesFetched != 0 {
+			t.Fatalf("spilled=%v: stats = %+v, want 1 checksum error, 2 misses, nothing fetched", spilled, st)
+		}
+		if _, ok := srv.StoredSession(id); ok {
+			t.Fatalf("spilled=%v: damaged payload still stored", spilled)
+		}
+	}
+}
+
+// TestStoreSessionBoundedByMemory: a store session is buffered whole,
+// so it may not exceed the memory budget even when the spool is larger.
+func TestStoreSessionBoundedByMemory(t *testing.T) {
+	h := newHarness(t)
+	srv := h.addDepot(epB, Config{StoreBytes: 1000, SpoolDir: t.TempDir(), SpoolBytes: 1 << 20})
+	sess, err := lsl.OpenStore(h.dialerFrom("10.0.0.1"), epA, epB, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess.Write(make([]byte, 1001))
+	sess.Close()
+	storeAt(t, h, make([]byte, 1000), 1)
+	if _, entries, _ := srv.StoreUsage(); entries != 1 {
+		t.Fatalf("store holds %d payloads, want only the one within the memory budget", entries)
+	}
+}
+
 func TestFetchUnknownIDRefused(t *testing.T) {
 	h := newHarness(t)
 	h.addDepot(epB, Config{})

@@ -24,10 +24,11 @@ func repoRoot(t *testing.T) string {
 // TestExportedIdentifiersAreDocumented is the godoc-coverage gate for
 // the protocol-facing and data-path packages: a missing doc comment on
 // an exported identifier in wire, schedule, retry, graph, ctl, obs,
-// fairshare, loadgen, depot, cache, core, or lsl fails the build.
+// fairshare, loadgen, depot, cache, blobstore, core, or lsl fails the
+// build.
 func TestExportedIdentifiersAreDocumented(t *testing.T) {
 	root := repoRoot(t)
-	for _, pkg := range []string{"wire", "schedule", "retry", "graph", "ctl", "obs", "fairshare", "loadgen", "depot", "cache", "core", "lsl"} {
+	for _, pkg := range []string{"wire", "schedule", "retry", "graph", "ctl", "obs", "fairshare", "loadgen", "depot", "cache", "blobstore", "core", "lsl"} {
 		t.Run(pkg, func(t *testing.T) {
 			missing, err := MissingDocs(filepath.Join(root, "internal", pkg))
 			if err != nil {

@@ -157,6 +157,24 @@ func (fw *FrameWriter) Write(p []byte) (int, error) {
 	return written, nil
 }
 
+// AppendFrames appends p to dst as the frame sequence a FrameWriter
+// would emit for one Write of p, growing dst at most once. Stores that
+// keep payloads framed at rest use it to frame a buffer in one copy.
+func AppendFrames(dst, p []byte) []byte {
+	frames := (len(p) + MaxFramePayload - 1) / MaxFramePayload
+	if need := len(dst) + len(p) + frames*FrameHeaderLen; need > cap(dst) {
+		dst = append(make([]byte, 0, need), dst...)
+	}
+	for len(p) > 0 {
+		n := min(len(p), MaxFramePayload)
+		dst = binary.BigEndian.AppendUint32(dst, uint32(n))
+		dst = binary.BigEndian.AppendUint32(dst, crc32.Checksum(p[:n], crcTable))
+		dst = append(dst, p[:n]...)
+		p = p[n:]
+	}
+	return dst
+}
+
 // frameScanner reads a checksummed frame stream, verifying each frame's
 // CRC-32C. With strip=false (VerifyingReader) it yields the re-stamped
 // encoded frames, ready to forward to the next hop; with strip=true

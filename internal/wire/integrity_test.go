@@ -104,6 +104,27 @@ func TestFrameRoundTrip(t *testing.T) {
 
 // TestFrameDetectsCorruption flips one payload byte and expects
 // ErrChecksum from both scanners, after any clean prefix.
+// TestAppendFramesMatchesFrameWriter: framing a buffer in place must
+// produce exactly what one FrameWriter.Write of it emits, append to
+// what dst already holds, and allocate at most once.
+func TestAppendFramesMatchesFrameWriter(t *testing.T) {
+	for _, n := range []int{0, 1, MaxFramePayload, MaxFramePayload + 1, 3*MaxFramePayload - 7} {
+		payload := make([]byte, n)
+		rand.New(rand.NewSource(int64(n))).Read(payload)
+		var want bytes.Buffer
+		if _, err := NewFrameWriter(&want).Write(payload); err != nil {
+			t.Fatal(err)
+		}
+		got := AppendFrames([]byte("prefix"), payload)
+		if !bytes.Equal(got[6:], want.Bytes()) || string(got[:6]) != "prefix" {
+			t.Fatalf("n=%d: AppendFrames differs from FrameWriter output", n)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { AppendFrames(nil, payload) }); n > 0 && allocs != 1 {
+			t.Fatalf("n=%d: %v allocations, want 1", n, allocs)
+		}
+	}
+}
+
 func TestFrameDetectsCorruption(t *testing.T) {
 	payload := make([]byte, 2*MaxFramePayload)
 	for i := range payload {
