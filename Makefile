@@ -65,7 +65,7 @@ race:
 # any floor breach or floored package missing from the profile.
 COVER_OUT ?= cover.out
 cover:
-	$(GO) test -coverprofile $(COVER_OUT) -covermode atomic ./internal/wire/ ./internal/cache/ ./internal/blobstore/ ./internal/schedule/ ./internal/core/
+	$(GO) test -coverprofile $(COVER_OUT) -covermode atomic ./internal/wire/ ./internal/cache/ ./internal/blobstore/ ./internal/schedule/ ./internal/core/ ./internal/depot/
 	$(GO) run ./cmd/covercheck -profile $(COVER_OUT) -floors coverage-floors.txt
 
 # The full pre-commit gate.

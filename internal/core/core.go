@@ -390,11 +390,7 @@ func (s *System) localHandler() depot.Handler {
 				if verr == nil {
 					verr = depot.VerifyPattern(buf[:n], sess.ID(), base+total)
 					if verr == nil && haveDigest {
-						if multi {
-							s.digests.absorbOutOfOrder(sess.ID(), base+total, buf[:n])
-						} else {
-							s.digests.absorb(sess.ID(), base+total, buf[:n])
-						}
+						s.digests.absorbOutOfOrder(sess.ID(), base+total, buf[:n])
 					}
 				}
 				total += int64(n)

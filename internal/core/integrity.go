@@ -87,40 +87,17 @@ func (t *digestTracker) open(id wire.SessionID) {
 	t.m[id] = &digestState{h: sha256.New()}
 }
 
-// absorb folds p — delivered, pattern-verified bytes at absolute object
-// offset off — into the running digest of session id. Overlap with
-// bytes an earlier attempt already digested is skipped (a continuation
-// may re-send a suffix the sink partly saw in flight); a gap poisons
-// the state.
-func (t *digestTracker) absorb(id wire.SessionID, off int64, p []byte) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	st, ok := t.m[id]
-	if !ok || st.broken {
-		return
-	}
-	if off > st.next {
-		st.broken = true
-		return
-	}
-	if skip := st.next - off; skip > 0 {
-		if skip >= int64(len(p)) {
-			return
-		}
-		p = p[skip:]
-	}
-	st.h.Write(p)
-	st.next += int64(len(p))
-}
-
-// absorbOutOfOrder is absorb for multipath sessions, whose disjoint
-// routes deliver ranges in no particular order: a segment beyond the
-// frontier is buffered instead of poisoning the state, and every time
-// the frontier advances the buffered segments that now touch it are
-// drained into the running hash. Overlap — a stolen range delivered by
-// two routes, or a resume continuation re-sending a verified suffix —
-// is skipped, so first-ack-wins double completion cannot corrupt the
-// digest.
+// absorbOutOfOrder folds p — delivered, pattern-verified bytes at
+// absolute object offset off — into the running digest of session id.
+// Multipath routes deliver ranges in no particular order, and a cached
+// suffix may land before the origin's prefix: a segment beyond the
+// frontier is buffered, and every time the frontier advances the
+// buffered segments that now touch it are drained into the running
+// hash. An in-order session is the case with nothing buffered. Overlap
+// — a stolen range delivered by two routes, or a resume continuation
+// re-sending a suffix the sink partly saw in flight — is skipped, so
+// first-ack-wins double completion cannot corrupt the digest. A gap
+// that never fills leaves the object short at finalize.
 func (t *digestTracker) absorbOutOfOrder(id wire.SessionID, off int64, p []byte) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -247,8 +247,8 @@ func TestDigestTrackerStitchesAttempts(t *testing.T) {
 		tr.open(id)
 		// Attempt 1 delivers a prefix; the continuation re-sends a
 		// chunk straddling the boundary.
-		tr.absorb(id, 0, payload[:1000])
-		tr.absorb(id, 600, payload[600:])
+		tr.absorbOutOfOrder(id, 0, payload[:1000])
+		tr.absorbOutOfOrder(id, 600, payload[600:])
 		done, err := tr.finalize(id, want)
 		if !done || err != nil {
 			t.Fatalf("done=%v err=%v, want a clean match", done, err)
@@ -259,7 +259,7 @@ func TestDigestTrackerStitchesAttempts(t *testing.T) {
 		tr.open(id)
 		mangled := append([]byte(nil), payload...)
 		mangled[42] ^= 1
-		tr.absorb(id, 0, mangled)
+		tr.absorbOutOfOrder(id, 0, mangled)
 		done, err := tr.finalize(id, want)
 		if !done || !errors.Is(err, wire.ErrDigest) {
 			t.Fatalf("done=%v err=%v, want wire.ErrDigest", done, err)
@@ -268,12 +268,12 @@ func TestDigestTrackerStitchesAttempts(t *testing.T) {
 	t.Run("partial awaits continuation", func(t *testing.T) {
 		var tr digestTracker
 		tr.open(id)
-		tr.absorb(id, 0, payload[:100])
+		tr.absorbOutOfOrder(id, 0, payload[:100])
 		if done, err := tr.finalize(id, want); done || err != nil {
 			t.Fatalf("done=%v err=%v on a partial delivery", done, err)
 		}
 		// The state must survive for the continuation.
-		tr.absorb(id, 100, payload[100:])
+		tr.absorbOutOfOrder(id, 100, payload[100:])
 		if done, err := tr.finalize(id, want); !done || err != nil {
 			t.Fatalf("done=%v err=%v after the continuation", done, err)
 		}
@@ -281,8 +281,8 @@ func TestDigestTrackerStitchesAttempts(t *testing.T) {
 	t.Run("gap degrades to unchecked", func(t *testing.T) {
 		var tr digestTracker
 		tr.open(id)
-		tr.absorb(id, 0, payload[:100])
-		tr.absorb(id, 200, payload[200:]) // hole at [100, 200)
+		tr.absorbOutOfOrder(id, 0, payload[:100])
+		tr.absorbOutOfOrder(id, 200, payload[200:]) // hole at [100, 200)
 		if done, err := tr.finalize(id, want); done || err != nil {
 			t.Fatalf("done=%v err=%v, want a poisoned state to stay silent", done, err)
 		}
@@ -296,11 +296,11 @@ func TestDigestIgnoresUnopenedIDs(t *testing.T) {
 	var tr digestTracker
 	id := wire.SessionID{1}
 	tr.open(id)
-	tr.absorb(id, 0, []byte("first"))
+	tr.absorbOutOfOrder(id, 0, []byte("first"))
 	tr.drop(id)
-	tr.absorb(id, 5, []byte("late duplicate"))
+	tr.absorbOutOfOrder(id, 5, []byte("late duplicate"))
 	tr.absorbOutOfOrder(id, 100, []byte("late stolen range"))
-	tr.absorb(wire.SessionID{2}, 0, []byte("stray"))
+	tr.absorbOutOfOrder(wire.SessionID{2}, 0, []byte("stray"))
 	tr.absorbOutOfOrder(wire.SessionID{3}, 0, []byte("stray"))
 	if done, err := tr.finalize(wire.SessionID{2}, wire.ContentDigest{Size: 5}); done || err != nil {
 		t.Fatalf("finalize of an unopened id = (%v, %v), want (false, nil)", done, err)

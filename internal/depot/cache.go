@@ -3,9 +3,9 @@ package depot
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
-	"net"
 	"sync"
 
 	"github.com/netlogistics/lsl/internal/cache"
@@ -26,13 +26,12 @@ const maxInventoryDigests = 1024
 // the admission gate for the same reason control pushes do — a depot
 // shedding load still wants its cache found, because every hit it
 // advertises is load somebody else does not send.
-func (s *Server) handleCacheProbe(conn net.Conn, h *wire.Header, f *flow) error {
-	defer conn.Close()
+func (s *Server) handleCacheProbe(sess *lsl.Session, f *flow) error {
+	defer sess.Close()
+	h := sess.Header
 	if s.cfg.Cache == nil {
-		s.st.refused.Add(1)
-		s.met.refused.Inc()
-		f.emit(obs.KindRefused, obs.Event{Peer: h.Src.String(), Detail: "no cache configured"})
-		return lsl.Refuse(conn, h)
+		s.refuse(sess, f, errors.New("no cache configured"), &s.met.refused)
+		return nil
 	}
 	resp := &wire.Header{
 		Version: wire.Version1,
@@ -52,7 +51,7 @@ func (s *Server) handleCacheProbe(conn net.Conn, h *wire.Header, f *flow) error 
 			resp.AddOption(wire.CacheLookupOption(k))
 		}
 	}
-	return wire.WriteHeader(conn, resp)
+	return wire.WriteHeader(sess, resp)
 }
 
 // handleCacheServe executes a serve-from-cache directive: the depot
@@ -68,86 +67,23 @@ func (s *Server) handleCacheServe(sess *lsl.Session, f *flow) error {
 	h := sess.Header
 	d, r, ok := h.CacheServe()
 	if !ok || s.cfg.Cache == nil {
-		s.st.refused.Add(1)
-		s.met.refused.Inc()
-		f.emit(obs.KindRefused, obs.Event{Peer: h.Src.String(), Detail: "cache serve unavailable"})
-		_ = lsl.Refuse(sess.Conn, h)
+		s.refuse(sess, f, errors.New("cache serve unavailable"), &s.met.refused)
 		return nil
 	}
 	rc, err := s.cfg.Cache.Open(d, r)
 	if err != nil {
-		s.st.refused.Add(1)
-		s.met.refused.Inc()
-		f.emit(obs.KindRefused, obs.Event{Peer: h.Src.String(), Detail: "cache miss: " + err.Error()})
-		_ = lsl.Refuse(sess.Conn, h)
+		s.refuse(sess, f, errors.New("cache miss: "+err.Error()), &s.met.refused)
 		return nil
 	}
 	defer rc.Close()
-	next, rest, local, err := s.nextHop(h)
-	if err != nil {
-		if s.refuseRouting(sess, f, err) {
-			return nil
-		}
+	l, err := s.onward(sess, f, legSpec{kind: "cache-serve", typ: wire.TypeData,
+		set: []wire.Option{wire.ResumeOffsetOption(uint64(r.Off))}})
+	if l == nil {
 		return err
 	}
 	f.emit(obs.KindCacheHit, obs.Event{Peer: h.Dst.String(), Bytes: r.Len,
 		Detail: fmt.Sprintf("serving [%d,%d) from cache", r.Off, r.End())})
-
-	var dst io.WriteCloser
-	if local {
-		defer s.track(f, h, "cache-serve", wire.Endpoint{})()
-		pr, pw := io.Pipe()
-		dst = pw
-		inner := &lsl.Session{Conn: pipeConn{PipeReader: pr}, Header: serveHeader(h, r, f.hopIndex())}
-		done := make(chan error, 1)
-		go func() { done <- s.deliver(inner, f) }()
-		defer func() {
-			pw.Close()
-			<-done
-		}()
-	} else {
-		defer s.track(f, h, "cache-serve", next)()
-		out, derr := s.dialOnward(next, f)
-		if derr != nil {
-			return fmt.Errorf("cache serve dial %s: %w", next, derr)
-		}
-		defer out.Close()
-		f.emit(obs.KindConnect, obs.Event{Peer: next.String()})
-		fh := serveHeader(forwardHeader(h, rest, f.hopIndex()), r, f.hopIndex())
-		if err := wire.WriteHeader(out, fh); err != nil {
-			return err
-		}
-		dst = out
-	}
-
-	_, perr := s.pump(framedWriter(dst, h), rc, f)
-	s.st.forwarded.Add(1)
-	return s.flagCorrupt(sess, f, perr)
-}
-
-// serveHeader turns a cache-serve header into the TypeData header the
-// downstream path sees: the directive option is stripped and the
-// resume offset pinned to the served range, so the sink lands the
-// bytes at the right place in the object.
-func serveHeader(h *wire.Header, r wire.ByteRange, hop int) *wire.Header {
-	out := &wire.Header{
-		Version: h.Version,
-		Type:    wire.TypeData,
-		Session: h.Session,
-		Src:     h.Src,
-		Dst:     h.Dst,
-	}
-	for _, o := range h.Options {
-		if o.Kind == wire.OptCacheServe || o.Kind == wire.OptResumeOffset || o.Kind == wire.OptHopIndex {
-			continue
-		}
-		out.AddOption(o)
-	}
-	if r.Off > 0 {
-		out.AddOption(wire.ResumeOffsetOption(uint64(r.Off)))
-	}
-	out.AddOption(wire.HopIndexOption(uint16(hop)))
-	return out
+	return s.relay(sess, f, l, framedWriter(l, h), rc, nil)
 }
 
 // cacheable extracts the cache key for a session's payload: a plain
@@ -168,54 +104,32 @@ func cacheable(h *wire.Header) (wire.ContentDigest, wire.ByteRange, bool) {
 	return d, wire.ByteRange{Off: off, Len: d.Size - off}, true
 }
 
-// cacheShortCircuit serves the session's remaining range from the
-// local cache when it is held in full: the upstream sublink is
-// terminated immediately (the sender sees its writes fail, exactly as
-// if the path had collapsed behind the bytes already being delivered)
-// and the depot pumps the cached bytes onward itself. Reports whether
-// it served; when it did, the session error (if any) has already been
-// accounted. A partial or failed cache read ends the session early and
-// the initiator resumes from the sink's acked offset via the origin.
-func (s *Server) cacheShortCircuit(sess *lsl.Session, f *flow, next wire.Endpoint, rest []wire.Endpoint) (bool, error) {
+// cachedRemainder opens the session's remaining range in the local
+// cache when it is held in full, and terminates the upstream sublink:
+// everything the origin would still send is already here. The sender
+// sees its writes fail, exactly as if the path had collapsed behind the
+// bytes already being delivered. A partial or failed cache read ends
+// the session early and the initiator resumes from the sink's acked
+// offset via the origin. It returns nil when the cache cannot serve.
+func (s *Server) cachedRemainder(sess *lsl.Session, f *flow) io.ReadCloser {
 	if s.cfg.Cache == nil {
-		return false, nil
+		return nil
 	}
 	h := sess.Header
 	d, r, ok := cacheable(h)
-	if !ok {
-		return false, nil
-	}
-	if !s.cfg.Cache.Holds(d, r) {
-		// Counted as a cache miss: this depot had to let the session go
-		// to the origin path.
-		return false, nil
+	if !ok || !s.cfg.Cache.Holds(d, r) {
+		// Counted as a cache miss: this depot lets the session go on
+		// from the origin.
+		return nil
 	}
 	rc, err := s.cfg.Cache.Open(d, r)
 	if err != nil {
-		return false, nil
+		return nil
 	}
-	defer rc.Close()
-	defer s.track(f, h, "cache-serve", next)()
 	f.emit(obs.KindCacheHit, obs.Event{Peer: h.Dst.String(), Bytes: r.Len,
 		Detail: fmt.Sprintf("short-circuit: serving [%d,%d) from cache, upstream terminated", r.Off, r.End())})
-	// Terminate the upstream sublink: everything the origin would still
-	// send is already here.
 	sess.Conn.Close()
-
-	out, err := s.dialOnward(next, f)
-	if err != nil {
-		return true, fmt.Errorf("cache serve dial %s: %w", next, err)
-	}
-	defer out.Close()
-	f.emit(obs.KindConnect, obs.Event{Peer: next.String()})
-	fh := forwardHeader(h, rest, f.hopIndex())
-	fh.Type = wire.TypeData
-	if err := wire.WriteHeader(out, fh); err != nil {
-		return true, err
-	}
-	_, perr := s.pump(framedWriter(out, h), rc, f)
-	s.st.forwarded.Add(1)
-	return true, s.flagCorrupt(sess, f, perr)
+	return rc
 }
 
 // cacheTap accumulates the payload a forwarding pump moves and commits

@@ -23,8 +23,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"context"
-
 	"github.com/netlogistics/lsl/internal/bufpool"
 	"github.com/netlogistics/lsl/internal/cache"
 	"github.com/netlogistics/lsl/internal/fairshare"
@@ -187,63 +185,36 @@ type Stats struct {
 	ChecksumErrors int64
 }
 
-// stat holds the Stats fields as atomics, so hot-path accounting never
-// serializes concurrent sessions.
-type stat struct {
-	accepted       atomic.Int64
-	refused        atomic.Int64
-	forwarded      atomic.Int64
-	delivered      atomic.Int64
-	generated      atomic.Int64
-	stored         atomic.Int64
-	fetched        atomic.Int64
-	fetchMisses    atomic.Int64
-	bytesForwarded atomic.Int64
-	bytesDelivered atomic.Int64
-	bytesStored    atomic.Int64
-	bytesFetched   atomic.Int64
-	errors         atomic.Int64
-	forwardRetries atomic.Int64
-	failovers      atomic.Int64
-	tablePushes    atomic.Int64
-	stalePushes    atomic.Int64
-	tableHits      atomic.Int64
-	tableMisses    atomic.Int64
-	hopLimited     atomic.Int64
-	queued         atomic.Int64
-	queueTimeouts  atomic.Int64
-	checksumErrors atomic.Int64
+// counter is one event count: every add moves both the server's own
+// tally, which Stats reads, and the shared registry's counter. reg is
+// nil (a no-op) for events without a Metric* name or without
+// Config.Metrics; a nil counter counts nothing.
+type counter struct {
+	n   atomic.Int64
+	reg *obs.Counter
 }
 
-// metrics are the depot's shared-registry instruments, resolved once at
-// construction. All fields are nil (no-op) when Config.Metrics is nil.
+func (c *counter) add(n int64) {
+	if c != nil {
+		c.n.Add(n)
+		c.reg.Add(n)
+	}
+}
+
+func (c *counter) inc() { c.add(1) }
+
+// metrics are the depot's instruments, bound to Config.Metrics once at
+// construction. Gauges and histograms are nil (no-op) without a
+// registry.
 type metrics struct {
-	accepted     *obs.Counter
-	refused      *obs.Counter
-	errors       *obs.Counter
-	bytesFwd     *obs.Counter
-	bytesDlv     *obs.Counter
-	stallNanos   *obs.Counter
-	fwdRetries   *obs.Counter
-	failovers    *obs.Counter
-	faults       *obs.Counter
-	tablePushes  *obs.Counter
-	stalePushes  *obs.Counter
-	tableHits    *obs.Counter
-	tableMisses  *obs.Counter
-	hopLimited   *obs.Counter
-	queued       *obs.Counter
-	queueTOs     *obs.Counter
-	checksumErrs *obs.Counter
-	reindexDrops *obs.Counter
-	tableEpoch   *obs.Gauge
-	occupancy    *obs.Gauge
-	active       *obs.Gauge
-	stripes      *obs.Gauge
-	paths        *obs.Gauge
-	chunkWrite   *obs.Histogram
-	throughput   *obs.Histogram
-	sessionDur   *obs.Histogram
+	accepted, refused, forwarded, delivered, generated, stored   counter
+	fetched, fetchMisses, bytesForwarded, bytesDelivered         counter
+	bytesStored, bytesFetched, errors, forwardRetries, failovers counter
+	tablePushes, stalePushes, tableHits, tableMisses, hopLimited counter
+	queued, queueTimeouts, checksumErrors                        counter
+	stallNanos, faults, reindexDrops                             counter // registry only
+	tableEpoch, occupancy, active, stripes, paths                *obs.Gauge
+	chunkWrite, throughput, sessionDur                           *obs.Histogram
 }
 
 // Metric and gauge names published to Config.Metrics.
@@ -280,44 +251,36 @@ const (
 	MetricSpoolReindexDropped = "depot_spool_reindex_dropped_total"
 )
 
-func newMetrics(r *obs.Registry) metrics {
-	return metrics{
-		accepted:     r.Counter(MetricSessionsAccepted),
-		refused:      r.Counter(MetricSessionsRefused),
-		errors:       r.Counter(MetricSessionErrors),
-		bytesFwd:     r.Counter(MetricBytesForwarded),
-		bytesDlv:     r.Counter(MetricBytesDelivered),
-		stallNanos:   r.Counter(MetricPumpStallNanos),
-		fwdRetries:   r.Counter(MetricForwardRetries),
-		failovers:    r.Counter(MetricFailovers),
-		faults:       r.Counter(MetricFaultsInjected),
-		tablePushes:  r.Counter(MetricTablePushes),
-		stalePushes:  r.Counter(MetricStalePushes),
-		tableHits:    r.Counter(MetricTableHits),
-		tableMisses:  r.Counter(MetricTableMisses),
-		hopLimited:   r.Counter(MetricHopLimited),
-		queued:       r.Counter(MetricAdmissionQueued),
-		queueTOs:     r.Counter(MetricAdmissionTimeouts),
-		checksumErrs: r.Counter(MetricChecksumErrors),
-		reindexDrops: r.Counter(MetricSpoolReindexDropped),
-		tableEpoch:   r.Gauge(MetricTableEpoch),
-		occupancy:    r.Gauge(MetricPipelineOccupancy),
-		active:       r.Gauge(MetricActiveSessions),
-		stripes:      r.Gauge(MetricActiveStripes),
-		paths:        r.Gauge(MetricActivePaths),
-		// 100 µs .. ~1.6 s write latencies.
-		chunkWrite: r.Histogram(MetricChunkWriteSeconds, obs.ExpBuckets(1e-4, 2, 15)),
-		// 1 .. ~16k Mbit/s sublink throughput.
-		throughput: r.Histogram(MetricSublinkMbps, obs.ExpBuckets(1, 2, 15)),
-		// 1 ms .. ~1000 s session durations.
-		sessionDur: r.Histogram(MetricSessionSeconds, obs.ExpBuckets(1e-3, 2, 20)),
+func (m *metrics) bind(r *obs.Registry) {
+	for c, name := range map[*counter]string{
+		&m.accepted: MetricSessionsAccepted, &m.refused: MetricSessionsRefused,
+		&m.errors: MetricSessionErrors, &m.bytesForwarded: MetricBytesForwarded,
+		&m.bytesDelivered: MetricBytesDelivered, &m.stallNanos: MetricPumpStallNanos,
+		&m.forwardRetries: MetricForwardRetries, &m.failovers: MetricFailovers,
+		&m.faults: MetricFaultsInjected, &m.tablePushes: MetricTablePushes,
+		&m.stalePushes: MetricStalePushes, &m.tableHits: MetricTableHits,
+		&m.tableMisses: MetricTableMisses, &m.hopLimited: MetricHopLimited,
+		&m.queued: MetricAdmissionQueued, &m.queueTimeouts: MetricAdmissionTimeouts,
+		&m.checksumErrors: MetricChecksumErrors, &m.reindexDrops: MetricSpoolReindexDropped,
+	} {
+		c.reg = r.Counter(name)
 	}
+	m.tableEpoch = r.Gauge(MetricTableEpoch)
+	m.occupancy = r.Gauge(MetricPipelineOccupancy)
+	m.active = r.Gauge(MetricActiveSessions)
+	m.stripes = r.Gauge(MetricActiveStripes)
+	m.paths = r.Gauge(MetricActivePaths)
+	// 100 µs .. ~1.6 s write latencies.
+	m.chunkWrite = r.Histogram(MetricChunkWriteSeconds, obs.ExpBuckets(1e-4, 2, 15))
+	// 1 .. ~16k Mbit/s sublink throughput.
+	m.throughput = r.Histogram(MetricSublinkMbps, obs.ExpBuckets(1, 2, 15))
+	// 1 ms .. ~1000 s session durations.
+	m.sessionDur = r.Histogram(MetricSessionSeconds, obs.ExpBuckets(1e-3, 2, 20))
 }
 
 // Server is a running depot.
 type Server struct {
-	cfg    Config
-	active atomic.Int64
+	cfg Config
 	// admit is the MaxSessions slot semaphore (nil when unlimited):
 	// reserving a slot and counting it are one channel send, so
 	// concurrent arrivals can never both pass a load check that only
@@ -327,11 +290,8 @@ type Server struct {
 	store   *sessionStore
 	routes  atomic.Pointer[routeTable]
 	wg      sync.WaitGroup
-
-	st  stat
-	met metrics
-
-	closed atomic.Bool
+	met     metrics
+	closed  atomic.Bool
 }
 
 // New validates the configuration and builds a depot server.
@@ -352,13 +312,10 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	srv := &Server{
-		cfg:   cfg,
-		store: store,
-		met:   newMetrics(cfg.Metrics),
-	}
+	srv := &Server{cfg: cfg, store: store}
+	srv.met.bind(cfg.Metrics)
 	if dropped := store.reindexDropped; dropped > 0 {
-		srv.met.reindexDrops.Add(dropped)
+		srv.met.reindexDrops.add(dropped)
 		srv.logf("depot %s: spool re-index dropped %d unrecoverable file(s) from %s",
 			cfg.Self, dropped, cfg.SpoolDir)
 	}
@@ -371,30 +328,31 @@ func New(cfg Config) (*Server, error) {
 // Stats returns a snapshot of the counters. Each field is read
 // atomically; fields may be mutually skewed by in-flight sessions.
 func (s *Server) Stats() Stats {
+	m := &s.met
 	return Stats{
-		Accepted:       s.st.accepted.Load(),
-		Refused:        s.st.refused.Load(),
-		Forwarded:      s.st.forwarded.Load(),
-		Delivered:      s.st.delivered.Load(),
-		Generated:      s.st.generated.Load(),
-		Stored:         s.st.stored.Load(),
-		Fetched:        s.st.fetched.Load(),
-		FetchMisses:    s.st.fetchMisses.Load(),
-		BytesForwarded: s.st.bytesForwarded.Load(),
-		BytesDelivered: s.st.bytesDelivered.Load(),
-		BytesStored:    s.st.bytesStored.Load(),
-		BytesFetched:   s.st.bytesFetched.Load(),
-		Errors:         s.st.errors.Load(),
-		ForwardRetries: s.st.forwardRetries.Load(),
-		Failovers:      s.st.failovers.Load(),
-		TablePushes:    s.st.tablePushes.Load(),
-		StalePushes:    s.st.stalePushes.Load(),
-		TableHits:      s.st.tableHits.Load(),
-		TableMisses:    s.st.tableMisses.Load(),
-		HopLimited:     s.st.hopLimited.Load(),
-		Queued:         s.st.queued.Load(),
-		QueueTimeouts:  s.st.queueTimeouts.Load(),
-		ChecksumErrors: s.st.checksumErrors.Load(),
+		Accepted:       m.accepted.n.Load(),
+		Refused:        m.refused.n.Load(),
+		Forwarded:      m.forwarded.n.Load(),
+		Delivered:      m.delivered.n.Load(),
+		Generated:      m.generated.n.Load(),
+		Stored:         m.stored.n.Load(),
+		Fetched:        m.fetched.n.Load(),
+		FetchMisses:    m.fetchMisses.n.Load(),
+		BytesForwarded: m.bytesForwarded.n.Load(),
+		BytesDelivered: m.bytesDelivered.n.Load(),
+		BytesStored:    m.bytesStored.n.Load(),
+		BytesFetched:   m.bytesFetched.n.Load(),
+		Errors:         m.errors.n.Load(),
+		ForwardRetries: m.forwardRetries.n.Load(),
+		Failovers:      m.failovers.n.Load(),
+		TablePushes:    m.tablePushes.n.Load(),
+		StalePushes:    m.stalePushes.n.Load(),
+		TableHits:      m.tableHits.n.Load(),
+		TableMisses:    m.tableMisses.n.Load(),
+		HopLimited:     m.hopLimited.n.Load(),
+		Queued:         m.queued.n.Load(),
+		QueueTimeouts:  m.queueTimeouts.n.Load(),
+		ChecksumErrors: m.checksumErrors.n.Load(),
 	}
 }
 
@@ -521,9 +479,8 @@ func (s *Server) Handle(conn net.Conn) {
 	if s.cfg.Faults.refusing() {
 		// A dead depot process behind a live address: the connection is
 		// torn down before any protocol exchange.
-		s.met.faults.Inc()
-		s.st.refused.Add(1)
-		s.met.refused.Inc()
+		s.met.faults.inc()
+		s.met.refused.inc()
 		conn.Close()
 		return
 	}
@@ -533,8 +490,7 @@ func (s *Server) Handle(conn net.Conn) {
 	h, err := wire.ReadHeader(conn)
 	if err != nil {
 		conn.Close()
-		s.st.errors.Add(1)
-		s.met.errors.Inc()
+		s.met.errors.inc()
 		s.logf("depot %s: bad header: %v", s.cfg.Self, err)
 		return
 	}
@@ -544,81 +500,35 @@ func (s *Server) Handle(conn net.Conn) {
 	if tid, ok := h.TraceID(); ok {
 		f.trace = tid.String()
 	}
-	if h.Type == wire.TypeControl {
-		// Control pushes bypass the load gate: a depot refusing data
-		// sessions under load must still be reachable by its controller,
-		// or the tables that could shed the load never arrive.
-		s.st.accepted.Add(1)
-		s.met.accepted.Inc()
-		f.emit(obs.KindAccept, obs.Event{Peer: h.Src.String()})
-		if cerr := s.handleControl(conn, h, f); cerr != nil {
-			s.st.errors.Add(1)
-			s.met.errors.Inc()
-			f.emit(obs.KindError, obs.Event{Detail: cerr.Error()})
-			s.logf("depot %s: control session %s: %v", s.cfg.Self, h.Session, cerr)
+	sess := &lsl.Session{Conn: conn, Header: h}
+	// Control pushes and cache probes bypass the load gate: a depot
+	// refusing data sessions under load must still be reachable by its
+	// controller, or the tables that could shed the load never arrive,
+	// and a loaded depot advertising its cache is how load gets shed to
+	// begin with. Neither carries payload.
+	if h.Type != wire.TypeControl && h.Type != wire.TypeCacheProbe {
+		release, refusal := s.admitSession(f, h)
+		if refusal != nil {
+			s.refuse(sess, f, refusal, &s.met.refused)
+			return
 		}
-		return
+		defer release()
+		defer s.occupy(f, start)()
+		// Under fair sharing, the session's pumps draw chunk credit at
+		// the weight its initiator asked for. Join is nil-safe: without
+		// a scheduler f.fs stays nil and the pump path costs nothing.
+		f.fs = s.cfg.FairShare.Join(h.SessionWeight())
+		defer f.fs.Leave()
+		sess.Conn = s.cfg.Faults.wrap(conn, &s.met.faults)
 	}
-	if h.Type == wire.TypeCacheProbe {
-		// Cache probes also bypass the load gate: they carry no payload,
-		// and a loaded depot advertising its cache is how load gets
-		// shed to begin with.
-		s.st.accepted.Add(1)
-		s.met.accepted.Inc()
-		f.emit(obs.KindAccept, obs.Event{Peer: h.Src.String()})
-		if perr := s.handleCacheProbe(conn, h, f); perr != nil {
-			s.st.errors.Add(1)
-			s.met.errors.Inc()
-			f.emit(obs.KindError, obs.Event{Detail: perr.Error()})
-			s.logf("depot %s: cache probe %s: %v", s.cfg.Self, h.Session, perr)
-		}
-		return
-	}
-	release, refusal := s.admitSession(f, h)
-	if refusal != "" {
-		s.st.refused.Add(1)
-		s.met.refused.Inc()
-		f.emit(obs.KindRefused, obs.Event{Peer: h.Src.String(), Detail: refusal})
-		s.logf("depot %s: refusing session %s (%s)", s.cfg.Self, h.Session, refusal)
-		_ = lsl.Refuse(conn, h)
-		return
-	}
-	defer release()
-	s.active.Add(1)
-	s.met.active.Add(1)
-	if f.stripes > 1 {
-		// Each sublink chain of a striped session counts once, so the
-		// gauge reads "stripe pumps in flight at this depot".
-		s.met.stripes.Add(1)
-	}
-	if f.paths > 1 {
-		// Likewise per route: the gauge reads "multipath route sessions
-		// in flight at this depot".
-		s.met.paths.Add(1)
-	}
-	defer func() {
-		s.active.Add(-1)
-		s.met.active.Add(-1)
-		if f.stripes > 1 {
-			s.met.stripes.Add(-1)
-		}
-		if f.paths > 1 {
-			s.met.paths.Add(-1)
-		}
-		s.met.sessionDur.Observe(time.Since(start).Seconds())
-	}()
-	s.st.accepted.Add(1)
-	s.met.accepted.Inc()
+	s.met.accepted.inc()
 	f.emit(obs.KindAccept, obs.Event{Peer: h.Src.String()})
 
-	// Under fair sharing, the session's pumps draw chunk credit at the
-	// weight its initiator asked for. Join is nil-safe: without a
-	// scheduler f.fs stays nil and the pump path costs nothing.
-	f.fs = s.cfg.FairShare.Join(h.SessionWeight())
-	defer f.fs.Leave()
-
-	sess := &lsl.Session{Conn: s.cfg.Faults.wrap(conn, s.met.faults), Header: h}
 	switch h.Type {
+	case wire.TypeControl:
+		err = s.handleControl(sess, f)
+	case wire.TypeCacheProbe:
+		err = s.handleCacheProbe(sess, f)
 	case wire.TypeData:
 		err = s.handleData(sess, f)
 	case wire.TypeGenerate:
@@ -628,7 +538,7 @@ func (s *Server) Handle(conn net.Conn) {
 	case wire.TypeStore:
 		err = s.handleStore(sess, f)
 	case wire.TypeFetch:
-		err = s.handleFetch(sess)
+		err = s.handleFetch(sess, f)
 	case wire.TypeCacheServe:
 		err = s.handleCacheServe(sess, f)
 	default:
@@ -636,36 +546,59 @@ func (s *Server) Handle(conn net.Conn) {
 		conn.Close()
 	}
 	if err != nil {
-		s.st.errors.Add(1)
-		s.met.errors.Inc()
+		s.met.errors.inc()
 		f.emit(obs.KindError, obs.Event{Detail: err.Error()})
 		s.logf("depot %s: session %s: %v", s.cfg.Self, h.Session, err)
 	}
 }
 
+// occupy raises the active-session gauges for an admitted session; the
+// returned func lowers them and records the session's duration.
+func (s *Server) occupy(f *flow, start time.Time) func() {
+	// A striped session counts once per sublink chain and a multipath
+	// one once per route, so the gauges read "stripe pumps" and "route
+	// sessions" in flight at this depot.
+	var stripes, paths int64
+	if f.stripes > 1 {
+		stripes = 1
+	}
+	if f.paths > 1 {
+		paths = 1
+	}
+	s.met.active.Add(1)
+	s.met.stripes.Add(stripes)
+	s.met.paths.Add(paths)
+	return func() {
+		s.met.active.Add(-1)
+		s.met.stripes.Add(-stripes)
+		s.met.paths.Add(-paths)
+		s.met.sessionDur.Observe(time.Since(start).Seconds())
+	}
+}
+
 // admitSession reserves a MaxSessions slot for the session, waiting in
 // the bounded admission queue when one is configured. It returns a
-// release function and an empty refusal reason on success; a non-empty
-// refusal ("load" — no slot and no queue room — or "queue timeout")
-// means the session must be refused. Reserving a slot is a single
-// channel send, so concurrent arrivals can never both clear a limit
-// that only has room for one of them.
-func (s *Server) admitSession(f *flow, h *wire.Header) (release func(), refusal string) {
+// release function and a nil refusal on success; a refusal ("load" —
+// no slot and no queue room — or "queue timeout") means the session
+// must be refused. Reserving a slot is a single channel send, so
+// concurrent arrivals can never both clear a limit that only has room
+// for one of them.
+func (s *Server) admitSession(f *flow, h *wire.Header) (release func(), refusal error) {
 	if s.admit == nil {
-		return func() {}, ""
+		return func() {}, nil
 	}
 	release = func() { <-s.admit }
 	select {
 	case s.admit <- struct{}{}:
-		return release, ""
+		return release, nil
 	default:
 	}
 	if s.cfg.QueueDepth <= 0 {
-		return nil, "load"
+		return nil, errLoad
 	}
 	if s.waiting.Add(1) > int64(s.cfg.QueueDepth) {
 		s.waiting.Add(-1)
-		return nil, "load"
+		return nil, errLoad
 	}
 	defer s.waiting.Add(-1)
 	t0 := time.Now()
@@ -673,46 +606,50 @@ func (s *Server) admitSession(f *flow, h *wire.Header) (release func(), refusal 
 	defer timer.Stop()
 	select {
 	case s.admit <- struct{}{}:
-		wait := time.Since(t0)
-		s.st.queued.Add(1)
-		s.met.queued.Inc()
+		s.met.queued.inc()
 		f.emit(obs.KindQueued, obs.Event{Peer: h.Src.String(),
-			Detail: fmt.Sprintf("admission wait %s", wait.Round(time.Millisecond))})
-		return release, ""
+			Detail: fmt.Sprintf("admission wait %s", time.Since(t0).Round(time.Millisecond))})
+		return release, nil
 	case <-timer.C:
-		s.st.queueTimeouts.Add(1)
-		s.met.queueTOs.Inc()
-		return nil, "queue timeout"
+		s.met.queueTimeouts.inc()
+		return nil, errQueueTimeout
 	}
 }
 
-// dialOnward opens the next sublink, retrying transient dial failures
-// under Config.ForwardRetry. Every extra attempt is counted and traced,
-// so chain-level recovery is visible hop by hop.
-func (s *Server) dialOnward(next wire.Endpoint, f *flow) (net.Conn, error) {
-	var out net.Conn
-	err := s.cfg.ForwardRetry.Do(context.Background(), func(attempt int) error {
-		if attempt > 0 {
-			s.st.forwardRetries.Add(1)
-			s.met.fwdRetries.Inc()
-			f.emit(obs.KindRetry, obs.Event{Peer: next.String(), Detail: fmt.Sprintf("dial attempt %d", attempt+1)})
-		}
-		conn, derr := s.cfg.Dial.Dial(next.String())
-		if derr != nil {
-			return derr
-		}
-		out = conn
-		return nil
-	})
-	return out, err
+// Admission refusals.
+var (
+	errLoad         = errors.New("load")
+	errQueueTimeout = errors.New("queue timeout")
+)
+
+// refuse turns a session away with a typed refusal, which the
+// initiator's retry policy classifies as transient. It counts the
+// refusal on c (nil counts nothing), plus a checksum error for damaged
+// payload and a hop-limit refusal for ErrHopLimit; emits a "refused"
+// trace event, or "corrupt" pinned to this hop for damaged payload; and
+// logs why.
+func (s *Server) refuse(sess *lsl.Session, f *flow, why error, c *counter) {
+	c.inc()
+	kind := obs.KindRefused
+	if corrupt(why) {
+		kind = obs.KindCorrupt
+		s.met.checksumErrors.inc()
+	}
+	if errors.Is(why, ErrHopLimit) {
+		s.met.hopLimited.inc()
+	}
+	f.emit(kind, obs.Event{Peer: sess.Header.Src.String(), Detail: why.Error()})
+	s.logf("depot %s: refusing session %s: %v", s.cfg.Self, sess.Header.Session, why)
+	// Best effort: an initiator that already hung up needs no answer.
+	_ = lsl.Refuse(sess.Conn, sess.Header)
 }
 
 // nextHop determines where a session goes next: the head of its source
 // route, a static Routes answer, a controller-pushed table entry, or —
 // outside TableDriven mode — directly to the destination. local=true
 // means the session is addressed to this depot. Routing refusals
-// (ErrNoRoute, ErrHopLimit) come back as typed errors the handlers
-// convert into protocol-level refusals.
+// (ErrNoRoute, ErrHopLimit) come back as typed errors onward converts
+// into protocol-level refusals.
 func (s *Server) nextHop(h *wire.Header) (next wire.Endpoint, rest []wire.Endpoint, local bool, err error) {
 	if opt, found := h.Option(wire.OptSourceRoute); found {
 		hops, perr := wire.ParseSourceRoute(opt)
@@ -759,84 +696,6 @@ func (s *Server) checkTTL(h *wire.Header, next wire.Endpoint, rest []wire.Endpoi
 	return next, rest, false, nil
 }
 
-// forwardHeader rebuilds the header for the next hop, replacing the
-// source-route option with the remaining hops and stamping this node's
-// hop index so the next depot knows its position in the chain.
-func forwardHeader(h *wire.Header, rest []wire.Endpoint, hop int) *wire.Header {
-	out := &wire.Header{
-		Version: h.Version,
-		Type:    h.Type,
-		Session: h.Session,
-		Src:     h.Src,
-		Dst:     h.Dst,
-	}
-	for _, o := range h.Options {
-		if o.Kind == wire.OptSourceRoute || o.Kind == wire.OptHopIndex {
-			continue
-		}
-		out.AddOption(o)
-	}
-	if len(rest) > 0 {
-		out.AddOption(wire.SourceRouteOption(rest))
-	}
-	out.AddOption(wire.HopIndexOption(uint16(hop)))
-	return out
-}
-
-func (s *Server) handleData(sess *lsl.Session, f *flow) error {
-	defer sess.Close()
-	next, rest, local, err := s.nextHop(sess.Header)
-	if err != nil {
-		if s.refuseRouting(sess, f, err) {
-			return nil
-		}
-		return err
-	}
-	if local {
-		defer s.track(f, sess.Header, "data", wire.Endpoint{})()
-		return s.deliver(sess, f)
-	}
-	if served, serr := s.cacheShortCircuit(sess, f, next, rest); served {
-		return serr
-	}
-	defer s.track(f, sess.Header, "data", next)()
-	out, err := s.dialOnward(next, f)
-	if err != nil {
-		// The next hop is gone for good. With FailoverDirect the rest
-		// of the chain is abandoned and the payload goes straight to the
-		// destination — degraded (one long sublink) but delivered.
-		if !s.cfg.FailoverDirect || next == sess.Header.Dst {
-			return fmt.Errorf("forward dial %s: %w", next, err)
-		}
-		s.st.failovers.Add(1)
-		s.met.failovers.Inc()
-		f.emit(obs.KindFailover, obs.Event{Peer: sess.Header.Dst.String(), Detail: "next hop " + next.String() + " unreachable"})
-		s.logf("depot %s: next hop %s unreachable, failing over direct to %s", s.cfg.Self, next, sess.Header.Dst)
-		next, rest = sess.Header.Dst, nil
-		if out, err = s.dialOnward(next, f); err != nil {
-			return fmt.Errorf("failover dial %s: %w", next, err)
-		}
-	}
-	defer out.Close()
-	f.emit(obs.KindConnect, obs.Event{Peer: next.String()})
-	fh := forwardHeader(sess.Header, rest, f.hop)
-	fh.Type = wire.TypeData
-	if err := wire.WriteHeader(out, fh); err != nil {
-		return err
-	}
-	src := s.checkedSource(sess)
-	tap := s.cacheTap(sess.Header)
-	if tap != nil {
-		// On-forward cache population: the tap rides after the verifier,
-		// so only CRC-proven payload ever enters the cache.
-		src = io.TeeReader(src, tap)
-	}
-	_, err = s.pump(out, src, f)
-	tap.commit(err == nil)
-	s.st.forwarded.Add(1)
-	return s.flagCorrupt(sess, f, err)
-}
-
 // deliver consumes a session addressed to this depot, counting the
 // payload as it flows so partial deliveries and live progress are
 // visible.
@@ -860,7 +719,7 @@ func (s *Server) deliver(sess *lsl.Session, f *flow) error {
 			err = nil
 		}
 	}
-	s.st.delivered.Add(1)
+	s.met.delivered.inc()
 	f.emit(obs.KindDeliver, obs.Event{Bytes: cc.n.Load()})
 	return s.flagCorrupt(sess, f, err)
 }
@@ -877,82 +736,10 @@ func (c *countedConn) Read(p []byte) (int, error) {
 	n, err := c.Conn.Read(p)
 	if n > 0 {
 		c.n.Add(int64(n))
-		c.srv.st.bytesDelivered.Add(int64(n))
-		c.srv.met.bytesDlv.Add(int64(n))
+		c.srv.met.bytesDelivered.add(int64(n))
 		c.f.entry.AddBytes(int64(n))
 	}
 	return n, err
-}
-
-// handleGenerate synthesizes the requested bytes and pushes them toward
-// the destination as a TypeData session, serving as the evaluation
-// harness's traffic source.
-func (s *Server) handleGenerate(sess *lsl.Session, f *flow) error {
-	defer sess.Close()
-	opt, found := sess.Header.Option(wire.OptGenerate)
-	if !found {
-		return fmt.Errorf("generate session %s: %w", sess.Header.Session, wire.ErrOptionMissing)
-	}
-	size, err := wire.ParseGenerate(opt)
-	if err != nil {
-		return err
-	}
-	next, rest, local, err := s.nextHop(sess.Header)
-	if err != nil {
-		if s.refuseRouting(sess, f, err) {
-			return nil
-		}
-		return err
-	}
-
-	var dst io.WriteCloser
-	if local {
-		defer s.track(f, sess.Header, "generate", wire.Endpoint{})()
-		// Generating to ourselves: deliver into the local handler via
-		// an in-process pipe.
-		pr, pw := io.Pipe()
-		dst = pw
-		inner := &lsl.Session{Conn: pipeConn{PipeReader: pr}, Header: sess.Header}
-		done := make(chan error, 1)
-		go func() { done <- s.deliver(inner, f) }()
-		defer func() {
-			pw.Close()
-			<-done
-		}()
-	} else {
-		defer s.track(f, sess.Header, "generate", next)()
-		out, err := s.cfg.Dial.Dial(next.String())
-		if err != nil {
-			return fmt.Errorf("generate dial %s: %w", next, err)
-		}
-		defer out.Close()
-		f.emit(obs.KindConnect, obs.Event{Peer: next.String()})
-		fh := forwardHeader(sess.Header, rest, f.hop)
-		fh.Type = wire.TypeData
-		// Strip the generate option: downstream sees a plain stream.
-		kept := fh.Options[:0]
-		for _, o := range fh.Options {
-			if o.Kind != wire.OptGenerate {
-				kept = append(kept, o)
-			}
-		}
-		fh.Options = kept
-		if err := wire.WriteHeader(out, fh); err != nil {
-			return err
-		}
-		dst = out
-	}
-
-	// A checksummed generate session frames the synthesized stream so
-	// every downstream hop verifies it like any other payload.
-	n, err := WritePattern(framedWriter(dst, sess.Header), sess.Header.Session, 0, int64(size))
-	s.st.generated.Add(1)
-	s.st.bytesForwarded.Add(n)
-	s.met.bytesFwd.Add(n)
-	if err != nil {
-		return fmt.Errorf("generate: %w", err)
-	}
-	return nil
 }
 
 // WritePattern streams the session's deterministic pattern for the

@@ -6,8 +6,6 @@ import (
 	"net"
 	"sync/atomic"
 	"time"
-
-	"github.com/netlogistics/lsl/internal/obs"
 )
 
 // ErrInjected is the root of every fault-injection error, so recovery
@@ -101,10 +99,9 @@ func (f *FaultInjector) refusing() bool {
 	return true
 }
 
-// wrap interposes the injector on a session transport, reporting fired
-// faults to met (which may be nil). Nil-safe: a nil injector returns
-// conn unchanged.
-func (f *FaultInjector) wrap(conn net.Conn, met *obs.Counter) net.Conn {
+// wrap interposes the injector on a session transport, counting fired
+// faults on met. Nil-safe: a nil injector returns conn unchanged.
+func (f *FaultInjector) wrap(conn net.Conn, met *counter) net.Conn {
 	if f == nil {
 		return conn
 	}
@@ -117,7 +114,7 @@ func (f *FaultInjector) wrap(conn net.Conn, met *obs.Counter) net.Conn {
 type faultConn struct {
 	net.Conn
 	f   *FaultInjector
-	met *obs.Counter
+	met *counter
 }
 
 func (c *faultConn) Read(p []byte) (int, error) {
@@ -125,7 +122,7 @@ func (c *faultConn) Read(p []byte) (int, error) {
 	if d := f.dropAfter.Load(); d >= 0 && f.seen.Load() >= d {
 		if f.dropAfter.CompareAndSwap(d, -1) {
 			f.injected.Add(1)
-			c.met.Inc()
+			c.met.inc()
 			c.Conn.Close()
 			return 0, fmt.Errorf("%w: drop after %d bytes", ErrInjected, d)
 		}
@@ -133,7 +130,7 @@ func (c *faultConn) Read(p []byte) (int, error) {
 	if st := f.stallAfter.Load(); st >= 0 && f.seen.Load() >= st {
 		if f.stallAfter.CompareAndSwap(st, -1) {
 			f.injected.Add(1)
-			c.met.Inc()
+			c.met.inc()
 			time.Sleep(time.Duration(f.stallNanos.Load()))
 		}
 	}
@@ -141,7 +138,7 @@ func (c *faultConn) Read(p []byte) (int, error) {
 	if co := f.corruptAfter.Load(); co >= 0 && n > 0 && f.seen.Load()+int64(n) > co {
 		if f.corruptAfter.CompareAndSwap(co, -1) {
 			f.injected.Add(1)
-			c.met.Inc()
+			c.met.inc()
 			p[0] ^= 0xFF
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"io"
 
 	"github.com/netlogistics/lsl/internal/lsl"
-	"github.com/netlogistics/lsl/internal/obs"
 	"github.com/netlogistics/lsl/internal/wire"
 )
 
@@ -23,21 +22,20 @@ func (s *Server) checkedSource(sess *lsl.Session) io.Reader {
 }
 
 // flagCorrupt inspects a session error for detected data corruption
-// (chunk-checksum or content-digest mismatch). When it finds one it
-// counts the event, emits a "corrupt" trace event pinned to this hop,
-// and answers the initiator with a typed refusal so its retry policy
-// classifies the failure as transient and re-sends the damaged range.
-// The error is returned unchanged either way.
+// and, when it finds one, refuses the session so the initiator's retry
+// policy re-sends the damaged range (see refuse). The error is returned
+// unchanged either way.
 func (s *Server) flagCorrupt(sess *lsl.Session, f *flow, err error) error {
-	if err == nil || (!errors.Is(err, wire.ErrChecksum) && !errors.Is(err, wire.ErrDigest)) {
-		return err
+	if corrupt(err) {
+		s.refuse(sess, f, err, nil)
 	}
-	s.st.checksumErrors.Add(1)
-	s.met.checksumErrs.Inc()
-	f.emit(obs.KindCorrupt, obs.Event{Peer: sess.Header.Src.String(), Detail: err.Error()})
-	s.logf("depot %s: session %s: corrupt payload: %v", s.cfg.Self, sess.Header.Session, err)
-	_ = lsl.Refuse(sess.Conn, sess.Header)
 	return err
+}
+
+// corrupt reports whether err is detected data corruption: a
+// chunk-checksum or content-digest mismatch.
+func corrupt(err error) bool {
+	return errors.Is(err, wire.ErrChecksum) || errors.Is(err, wire.ErrDigest)
 }
 
 // framedWriter wraps dst in a chunk-checksum framer when the session

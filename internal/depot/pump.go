@@ -85,7 +85,7 @@ func (s *Server) pump(dst io.Writer, src io.Reader, f *flow) (int64, error) {
 			// this depot — Figure 5 back-pressure, measured.
 			t0 := time.Now()
 			ch <- it
-			s.met.stallNanos.Add(time.Since(t0).Nanoseconds())
+			s.met.stallNanos.add(time.Since(t0).Nanoseconds())
 		}
 	}
 	dequeued := func(it item) {
@@ -145,8 +145,7 @@ func (s *Server) pump(dst io.Writer, src io.Reader, f *flow) (int64, error) {
 		// Record bytes as they move, not when the pump completes:
 		// partial transfers keep their accounting on every error path.
 		written += int64(n)
-		s.st.bytesForwarded.Add(int64(n))
-		s.met.bytesFwd.Add(int64(n))
+		s.met.bytesForwarded.add(int64(n))
 		f.addBytes(int64(n))
 		if err != nil {
 			// Drain the reader goroutine so it can exit, releasing the
@@ -164,9 +163,9 @@ func (s *Server) pump(dst io.Writer, src io.Reader, f *flow) (int64, error) {
 
 // handleMulticast implements the synchronous application-layer
 // multicast staging option: this depot locates itself in the carried
-// tree, opens a session to each child, and duplicates the payload to
-// all of them (and to local delivery when it is a leaf or the tree
-// marks it as a consumer).
+// tree, opens a leg to each child carrying that child's subtree, and
+// duplicates the payload to all of them — or, at a leaf, to local
+// delivery.
 func (s *Server) handleMulticast(sess *lsl.Session, f *flow) error {
 	defer sess.Close()
 	opt, found := sess.Header.Option(wire.OptMulticastTree)
@@ -183,76 +182,36 @@ func (s *Server) handleMulticast(sess *lsl.Session, f *flow) error {
 	}
 	defer s.track(f, sess.Header, "multicast", wire.Endpoint{})()
 
-	// Open one onward session per child, carrying that child's subtree.
+	var legs []*leg
 	var writers []io.Writer
-	var closers []io.Closer
-	defer func() {
-		for _, c := range closers {
-			c.Close()
+	all := &leg{end: func() (err error) {
+		for _, l := range legs {
+			if eerr := l.end(); err == nil {
+				err = eerr
+			}
 		}
-	}()
+		return err
+	}}
 	for _, child := range node.Children {
 		childOpt, err := wire.MulticastTreeOption(child)
+		var l *leg
+		if err == nil {
+			l, err = s.onward(sess, f, legSpec{typ: wire.TypeMulticast, to: child.Addr, set: []wire.Option{childOpt}})
+		}
 		if err != nil {
+			all.end()
 			return err
 		}
-		out, err := s.cfg.Dial.Dial(child.Addr.String())
-		if err != nil {
-			return fmt.Errorf("multicast dial %s: %w", child.Addr, err)
-		}
-		closers = append(closers, out)
-		f.emit(obs.KindConnect, obs.Event{Peer: child.Addr.String()})
-		fh := &wire.Header{
-			Version: sess.Header.Version,
-			Type:    wire.TypeMulticast,
-			Session: sess.Header.Session,
-			Src:     sess.Header.Src,
-			Dst:     child.Addr,
-			Options: []wire.Option{childOpt, wire.HopIndexOption(uint16(f.hopIndex()))},
-		}
-		if topt, ok := sess.Header.Option(wire.OptTraceID); ok {
-			// The trace id rides every branch of the staging tree.
-			fh.AddOption(topt)
-		}
-		if err := wire.WriteHeader(out, fh); err != nil {
-			return err
-		}
-		writers = append(writers, out)
+		legs, writers = append(legs, l), append(writers, l)
 	}
-
-	// A leaf consumes the stream locally; an interior node relays.
-	var localW *io.PipeWriter
-	var localDone chan error
 	if len(node.Children) == 0 {
-		pr, pw := io.Pipe()
-		localW = pw
-		localDone = make(chan error, 1)
-		inner := &lsl.Session{Conn: pipeConn{PipeReader: pr}, Header: sess.Header}
 		// The pump already records this flow's progress; give delivery
 		// an entry-less clone so session-table bytes aren't doubled.
 		fd := &flow{srv: s, id: f.id, trace: f.trace, hop: f.hopIndex()}
-		go func() { localDone <- s.deliver(inner, fd) }()
-		writers = append(writers, pw)
+		l := s.localLeg(sess.Header, fd, func() {})
+		legs, writers = append(legs, l), append(writers, l)
 	}
-
-	var dst io.Writer
-	switch len(writers) {
-	case 0:
-		dst = io.Discard
-	case 1:
-		dst = writers[0]
-	default:
-		dst = io.MultiWriter(writers...)
-	}
-	_, err = s.pump(dst, s.checkedSource(sess), f)
-	s.st.forwarded.Add(1)
-	if localW != nil {
-		localW.Close()
-		if derr := <-localDone; derr != nil && err == nil {
-			err = derr
-		}
-	}
-	return s.flagCorrupt(sess, f, err)
+	return s.relay(sess, f, all, io.MultiWriter(writers...), s.checkedSource(sess), nil)
 }
 
 // hopIndex returns the flow's hop position (0 for a nil flow).

@@ -3,7 +3,6 @@ package depot
 import (
 	"errors"
 	"fmt"
-	"net"
 
 	"github.com/netlogistics/lsl/internal/lsl"
 	"github.com/netlogistics/lsl/internal/obs"
@@ -71,24 +70,16 @@ func (s *Server) RouteCount() int {
 
 // lookupRoute consults the installed table for dst, counting the hit or
 // miss both in aggregate and per destination.
-func (s *Server) lookupRoute(dst wire.Endpoint) (wire.Endpoint, bool) {
-	t := s.routes.Load()
-	if t == nil {
-		s.st.tableMisses.Add(1)
-		s.met.tableMisses.Inc()
-		s.cfg.Metrics.Counter(fmt.Sprintf("%s{dst=%q}", MetricTableMisses, dst.String())).Inc()
-		return wire.Endpoint{}, false
+func (s *Server) lookupRoute(dst wire.Endpoint) (next wire.Endpoint, ok bool) {
+	if t := s.routes.Load(); t != nil {
+		next, ok = t.next[dst]
 	}
-	next, ok := t.next[dst]
+	c, name := &s.met.tableMisses, MetricTableMisses
 	if ok {
-		s.st.tableHits.Add(1)
-		s.met.tableHits.Inc()
-		s.cfg.Metrics.Counter(fmt.Sprintf("%s{dst=%q}", MetricTableHits, dst.String())).Inc()
-	} else {
-		s.st.tableMisses.Add(1)
-		s.met.tableMisses.Inc()
-		s.cfg.Metrics.Counter(fmt.Sprintf("%s{dst=%q}", MetricTableMisses, dst.String())).Inc()
+		c, name = &s.met.tableHits, MetricTableHits
 	}
+	c.inc()
+	s.cfg.Metrics.Counter(fmt.Sprintf("%s{dst=%q}", name, dst.String())).Inc()
 	return next, ok
 }
 
@@ -99,13 +90,12 @@ func (s *Server) lookupRoute(dst wire.Endpoint) (wire.Endpoint, bool) {
 // rejected whole — the depot keeps forwarding by its current (possibly
 // stale) table, which is the control-plane analogue of the stripe
 // options' degrade-don't-guess discipline.
-func (s *Server) handleControl(conn net.Conn, h *wire.Header, f *flow) error {
-	defer conn.Close()
+func (s *Server) handleControl(sess *lsl.Session, f *flow) error {
+	defer sess.Close()
+	h := sess.Header
 	if !s.cfg.AcceptControl {
-		s.st.refused.Add(1)
-		s.met.refused.Inc()
-		f.emit(obs.KindRefused, obs.Event{Peer: h.Src.String(), Detail: "control sessions not accepted"})
-		return lsl.Refuse(conn, h)
+		s.refuse(sess, f, errors.New("control sessions not accepted"), &s.met.refused)
+		return nil
 	}
 	epoch := h.TableEpoch()
 	entries, perr := h.RouteEntries()
@@ -113,21 +103,17 @@ func (s *Server) handleControl(conn net.Conn, h *wire.Header, f *flow) error {
 	case epoch == 0:
 		// Missing or damaged epoch: unversioned state must never
 		// overwrite versioned state.
-		s.st.stalePushes.Add(1)
-		s.met.stalePushes.Inc()
+		s.met.stalePushes.inc()
 		perr = fmt.Errorf("control push without epoch: %w", wire.ErrOptionMissing)
 	case perr != nil:
-		s.st.errors.Add(1)
-		s.met.errors.Inc()
+		// A malformed table: Handle counts the returned error.
 	case s.InstallRoutes(epoch, entries):
-		s.st.tablePushes.Add(1)
-		s.met.tablePushes.Inc()
+		s.met.tablePushes.inc()
 		f.emit(obs.KindRoutes, obs.Event{Peer: h.Src.String(),
 			Detail: fmt.Sprintf("installed %d routes at epoch %d", len(entries), epoch)})
 		s.logf("depot %s: installed route table epoch %d (%d entries)", s.cfg.Self, epoch, len(entries))
 	default:
-		s.st.stalePushes.Add(1)
-		s.met.stalePushes.Inc()
+		s.met.stalePushes.inc()
 		f.emit(obs.KindRoutes, obs.Event{Peer: h.Src.String(),
 			Detail: fmt.Sprintf("ignored stale push epoch %d (installed %d)", epoch, s.RouteEpoch())})
 	}
@@ -139,27 +125,8 @@ func (s *Server) handleControl(conn net.Conn, h *wire.Header, f *flow) error {
 		Dst:     h.Src,
 		Options: []wire.Option{wire.TableEpochOption(s.RouteEpoch())},
 	}
-	if werr := wire.WriteHeader(conn, ack); werr != nil && perr == nil {
+	if werr := wire.WriteHeader(sess, ack); werr != nil && perr == nil {
 		perr = fmt.Errorf("control ack: %w", werr)
 	}
 	return perr
-}
-
-// refuseRouting reports whether err is a routing refusal (no route, hop
-// limit) and, when it is, refuses the session so the initiator's typed
-// retry/failover path takes over instead of seeing a bare hangup.
-func (s *Server) refuseRouting(sess *lsl.Session, f *flow, err error) bool {
-	if !errors.Is(err, ErrNoRoute) && !errors.Is(err, ErrHopLimit) {
-		return false
-	}
-	s.st.refused.Add(1)
-	s.met.refused.Inc()
-	if errors.Is(err, ErrHopLimit) {
-		s.st.hopLimited.Add(1)
-		s.met.hopLimited.Inc()
-	}
-	f.emit(obs.KindRefused, obs.Event{Peer: sess.Header.Src.String(), Detail: err.Error()})
-	s.logf("depot %s: refusing session %s: %v", s.cfg.Self, sess.Header.Session, err)
-	_ = lsl.Refuse(sess.Conn, sess.Header)
-	return true
 }

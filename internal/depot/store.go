@@ -3,14 +3,12 @@ package depot
 import (
 	"bytes"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"io"
 	"sync"
 
 	"github.com/netlogistics/lsl/internal/blobstore"
 	"github.com/netlogistics/lsl/internal/lsl"
-	"github.com/netlogistics/lsl/internal/obs"
 	"github.com/netlogistics/lsl/internal/wire"
 )
 
@@ -122,31 +120,16 @@ func (s *sessionStore) spoolUsage() (bytes int64, spilled, recovered, restored i
 // one addressed elsewhere is forwarded like data with its type intact.
 func (s *Server) handleStore(sess *lsl.Session, f *flow) error {
 	defer sess.Close()
-	next, rest, local, err := s.nextHop(sess.Header)
-	if err != nil {
-		if s.refuseRouting(sess, f, err) {
-			return nil
-		}
+	l, err := s.onward(sess, f, legSpec{kind: "store", typ: wire.TypeStore,
+		here: func() error { return s.keep(sess, f) }})
+	if l == nil {
 		return err
 	}
-	if !local {
-		defer s.track(f, sess.Header, "store", next)()
-		out, err := s.cfg.Dial.Dial(next.String())
-		if err != nil {
-			return fmt.Errorf("store forward dial %s: %w", next, err)
-		}
-		defer out.Close()
-		f.emit(obs.KindConnect, obs.Event{Peer: next.String()})
-		fh := forwardHeader(sess.Header, rest, f.hopIndex())
-		if err := wire.WriteHeader(out, fh); err != nil {
-			return err
-		}
-		_, err = s.pump(out, s.checkedSource(sess), f)
-		s.st.forwarded.Add(1)
-		return s.flagCorrupt(sess, f, err)
-	}
+	return s.relay(sess, f, l, l, s.checkedSource(sess), nil)
+}
 
-	defer s.track(f, sess.Header, "store", wire.Endpoint{})()
+// keep absorbs a store session addressed to this depot into the store.
+func (s *Server) keep(sess *lsl.Session, f *flow) error {
 	// The storing depot is the payload's terminus. A checksummed stream
 	// is kept as the frames it arrived in, each verified on the way in;
 	// a plain one is framed here, once. The stream is buffered whole, so
@@ -154,6 +137,7 @@ func (s *Server) handleStore(sess *lsl.Session, f *flow) error {
 	limit := s.store.capacity
 	var buf bytes.Buffer
 	var n int64
+	var err error
 	if sess.Header.Checksummed() {
 		n, err = io.Copy(&buf, io.LimitReader(wire.NewVerifyingReader(sess), limit+1))
 	} else {
@@ -170,15 +154,15 @@ func (s *Server) handleStore(sess *lsl.Session, f *flow) error {
 	if err != nil {
 		return err
 	}
-	s.st.stored.Add(1)
-	s.st.bytesStored.Add(payload)
+	s.met.stored.inc()
+	s.met.bytesStored.add(payload)
 	return nil
 }
 
 // handleFetch implements the reading half: the receiver names a stored
 // session id and the depot streams the payload back as a TypeData
 // response on the same connection.
-func (s *Server) handleFetch(sess *lsl.Session) error {
+func (s *Server) handleFetch(sess *lsl.Session, f *flow) error {
 	defer sess.Close()
 	opt, found := sess.Header.Option(wire.OptFetchID)
 	if !found {
@@ -194,13 +178,8 @@ func (s *Server) handleFetch(sess *lsl.Session) error {
 	if err != nil {
 		// Unknown or damaged id: answer with a refusal so the receiver
 		// can distinguish "not here" from a transport failure.
-		s.st.fetchMisses.Add(1)
-		if errors.Is(err, wire.ErrChecksum) {
-			s.st.checksumErrors.Add(1)
-			s.met.checksumErrs.Inc()
-			s.logf("depot %s: stored session %s: %v", s.cfg.Self, id, err)
-		}
-		return lsl.Refuse(sess.Conn, sess.Header)
+		s.refuse(sess, f, fmt.Errorf("stored session %s: %w", id, err), &s.met.fetchMisses)
+		return nil
 	}
 	defer payload.Close()
 	resp := &wire.Header{
@@ -216,11 +195,11 @@ func (s *Server) handleFetch(sess *lsl.Session) error {
 	n, err := io.Copy(sess.Conn, payload)
 	// Bytes that made it onto the wire are counted even when the copy
 	// fails partway — partial transfers must not vanish from the stats.
-	s.st.bytesFetched.Add(n)
+	s.met.bytesFetched.add(n)
 	if err != nil {
 		return fmt.Errorf("fetch: %w", err)
 	}
-	s.st.fetched.Add(1)
+	s.met.fetched.inc()
 	return nil
 }
 
